@@ -9,7 +9,6 @@ realizes the correspondence with Jacobi triples and affine divisors.
 
 from .errors import (
     AlphaFractionError,
-    DegenerateExpansion,
     FactorizationDegenerate,
     IrrationalBeta,
     IrrationalSupport,

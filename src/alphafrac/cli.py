@@ -13,7 +13,7 @@ import sys
 from . import datasets
 from .errors import AlphaFractionError
 from .expansion import (
-    AlphaSequence,
+    admissible_decompose,
     expand,
     expansion_to_triple,
     numeric_residual,
@@ -28,6 +28,7 @@ from .jacobi import (
     pure_beta_candidates,
 )
 from .serialize import (
+    alpha_from_json,
     canonical_dumps,
     divisor_from_json,
     divisor_to_json,
@@ -46,19 +47,15 @@ from .serialize import (
 from .symmetry import apply_word, orbit
 
 
-def _alpha_from_json(data) -> AlphaSequence:
-    return AlphaSequence([frac_from_json(a) for a in data])
-
-
 def _cmd_expand(payload, args):
     triple = triple_from_json(payload)
-    alpha = _alpha_from_json(payload["alpha"])
+    alpha = alpha_from_json(payload["alpha"])
     return [expansion_to_json(e) for e in expand(triple, alpha)]
 
 
 def _cmd_pure_expand(payload, args):
     triple = triple_from_json(payload)
-    alpha = _alpha_from_json(payload["alpha"])
+    alpha = alpha_from_json(payload["alpha"])
     return expansion_to_json(pure_expand(triple, alpha))
 
 
@@ -72,8 +69,7 @@ def _cmd_triple(payload, args):
 
 
 def _cmd_admissible(payload, args):
-    from .expansion import admissible_decompose
-    alpha = _alpha_from_json(payload["alpha"])
+    alpha = alpha_from_json(payload["alpha"])
     s = admissible_decompose(poly_from_json(payload["R"]), alpha)
     return {"S": poly_to_json(s)}
 
@@ -162,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "hyperelliptic curves, in exact rational arithmetic.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, **extra):
+    def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
         if name not in _NO_INPUT:
             p.add_argument("--input", "-i", default="-",
@@ -225,6 +221,7 @@ def main(argv=None) -> int:
     try:
         payload = _read_payload(args)
         result = _HANDLERS[args.command](payload, args)
+        _write_result(args, result)
     except AlphaFractionError as exc:
         sys.stderr.write(canonical_dumps(
             {"error": exc.code, "detail": str(exc)}))
@@ -234,7 +231,6 @@ def main(argv=None) -> int:
         sys.stderr.write(canonical_dumps(
             {"error": "MalformedInput", "detail": str(exc)}))
         return 2
-    _write_result(args, result)
     return 0
 
 

@@ -15,10 +15,6 @@ class AlphaFractionError(Exception):
         cls.code = cls.__name__
 
 
-class DegenerateExpansion(AlphaFractionError):
-    """The expansion does not define a valid triple (A not monic of degree g)."""
-
-
 class NotMonic(AlphaFractionError):
     """A polynomial required to be monic of a given degree is not."""
 

@@ -11,11 +11,11 @@ matrix [[T-B, -C], [A, T+B]] into elementary factors, one per period step.
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import (
-    DegenerateExpansion,
     FactorizationDegenerate,
     NonGenericPure,
     NotAdmissible,
@@ -139,7 +139,7 @@ class AlphaTriple:
 
     @property
     def genus(self) -> int:
-        return self.A.degree if self.A.coeffs else 0
+        return self.A.degree
 
     @property
     def discriminant(self) -> Polynomial:
@@ -195,19 +195,15 @@ def expansion_to_triple(e: Expansion):
     """Triple (A, B, C) and half-trace T of the expansion's quadratic.
 
     A = Q_{N-1}, B = (Q_N - P_{N-1})/2, C = -P_N, T = (P_{N-1} + Q_N)/2.
+    This is a valid triple for every choice of b_i: by induction on the
+    recurrence Q_{2j} and P_{2j+1} are monic of degrees j and j+1, while
+    deg Q_{2j+1} <= j and deg P_{2j} <= j.
     """
     pairs = convergents(e)
     p_prev, q_prev = pairs[-2].P, pairs[-2].Q
     p_last, q_last = pairs[-1].P, pairs[-1].Q
-    A = q_prev
-    B = (q_last - p_prev) / 2
-    C = -p_last
-    T = (p_prev + q_last) / 2
-    try:
-        triple = AlphaTriple(A, B, C)
-    except ValueError as exc:
-        raise DegenerateExpansion(str(exc)) from None
-    return triple, T
+    triple = AlphaTriple(q_prev, (q_last - p_prev) / 2, -p_last)
+    return triple, (p_prev + q_last) / 2
 
 
 def admissible_decompose(R: Polynomial, alpha: AlphaSequence) -> Polynomial:
@@ -244,10 +240,10 @@ def factorize_transfer_matrix(tm: TransferMatrix,
     At step k the current matrix [[X, Y], [Z, W]] is evaluated at
     alpha_{k+1}; the factor coefficient is X/Z there, or Y/W when Z
     vanishes.  Each peel divides out (x - alpha_{k+1}) exactly; the final
-    residue must be the unipotent [[1, b_N - b_0], [0, 1]].
+    residue must be the unipotent [[1, b_N - b_0], [0, 1]].  A successful
+    peel thus proves det M = -prod(x - alpha_i); a matrix with any other
+    determinant raises FactorizationDegenerate or ResidueNotUnipotent.
     """
-    if tm.m.det() != -alpha.vanishing_poly():
-        raise ValueError("det M must equal -prod(x - alpha_i)")
     X, Y, Z, W = tm.m.a, tm.m.b, tm.m.c, tm.m.d
     bs = []
     for k, al in enumerate(alpha.alphas):
@@ -307,28 +303,20 @@ def pure_expand(t: AlphaTriple, alpha: AlphaSequence) -> Expansion:
 def verify_expansion(e: Expansion, t: AlphaTriple) -> dict:
     """Recompute the triple from e and compare exactly; returns a report.
 
-    Also checks the determinant identity
-    P_N Q_{N-1} - P_{N-1} Q_N = prod(x - alpha_i).
+    Also checks the determinant identity P_N Q_{N-1} - P_{N-1} Q_N =
+    B^2 - AC - T^2 = prod(x - alpha_i) on the recomputed triple.
     """
-    pairs = convergents(e)
-    p_prev, q_prev = pairs[-2].P, pairs[-2].Q
-    p_last, q_last = pairs[-1].P, pairs[-1].Q
-    recomputed = {
-        "A": q_prev,
-        "B": (q_last - p_prev) / 2,
-        "C": -p_last,
-    }
-    expected = {"A": t.A, "B": t.B, "C": t.C}
-    checks = []
-    for name in ("A", "B", "C"):
-        ok = recomputed[name] == expected[name]
-        checks.append({
+    got, T = expansion_to_triple(e)
+    checks = [
+        {
             "name": name,
-            "pass": ok,
-            "detail": "expected %s, recomputed %s"
-                      % (expected[name], recomputed[name]),
-        })
-    det = p_last * q_prev - p_prev * q_last
+            "pass": have == want,
+            "detail": "expected %s, recomputed %s" % (want, have),
+        }
+        for name, want, have in (("A", t.A, got.A), ("B", t.B, got.B),
+                                 ("C", t.C, got.C))
+    ]
+    det = (got.B - T) * (got.B + T) - got.A * got.C
     frak = e.alpha.vanishing_poly()
     checks.append({
         "name": "determinant_identity",
@@ -344,7 +332,8 @@ def numeric_residual(t: AlphaTriple, lambda0, branch: int = +1) -> float:
 
     branch is +1 or -1 and selects the square-root sign; complex arithmetic
     is used when R(lambda0) < 0.  Sanity net only; exact checks are
-    authoritative.
+    authoritative.  Raises ValueError when a value on the way, or the
+    residual itself, falls outside float range.
     """
     lam = as_fraction(lambda0)
     a = t.A(lam)
@@ -355,6 +344,12 @@ def numeric_residual(t: AlphaTriple, lambda0, branch: int = +1) -> float:
     b = t.B(lam)
     c = t.C(lam)
     r = b * b - a * c
-    root = cmath.sqrt(complex(r))
-    phi = (-float(b) + branch * root) / float(a)
-    return abs(float(a) * phi * phi + 2 * float(b) * phi + float(c))
+    try:
+        fa, fb = float(a), float(b)
+        phi = (-fb + branch * cmath.sqrt(complex(r))) / fa
+        res = abs(fa * phi * phi + 2 * fb * phi + float(c))
+    except (OverflowError, ZeroDivisionError):
+        res = math.inf
+    if not math.isfinite(res):
+        raise ValueError("residual at lambda is outside float range")
+    return res

@@ -1,7 +1,8 @@
 """Canonical JSON encoding of all wire types.
 
 Rationals are strings in lowest terms with positive denominator ("5/2",
-"-3"); polynomials are arrays of coefficient strings in ascending degree.
+"-3"), or JSON integers on input; polynomials are arrays of coefficient
+strings in ascending degree.
 ``canonical_dumps`` is byte-stable (sorted keys, fixed indentation) so
 golden files can be compared verbatim.
 """
@@ -9,11 +10,12 @@ golden files can be compared verbatim.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .expansion import AlphaSequence, AlphaTriple, Expansion
 from .jacobi import CurvePoint, JacobiTriple
-from .polyring import Polynomial, as_fraction
+from .polyring import Polynomial
 from .symmetry import OrbitResult
 
 
@@ -21,21 +23,41 @@ def frac_to_str(x: Fraction) -> str:
     return str(x)
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+
+
 def frac_from_json(data) -> Fraction:
-    if not isinstance(data, (str, int)):
-        raise ValueError("rational must be a string or integer, got %r"
-                         % (data,))
-    return as_fraction(data)
+    """A JSON integer, or a string "p" or "p/q" in lowest terms with q > 0.
+
+    Anything else, including true/false, "1.5", "1e400" and "2/4", raises
+    ValueError; no exponent is ever expanded.
+    """
+    if isinstance(data, int) and not isinstance(data, bool):
+        return Fraction(data)
+    if isinstance(data, str) and _RATIONAL.fullmatch(data):
+        value = Fraction(data)
+        if str(value) == data:
+            return value
+    raise ValueError("rational must be an integer or a string \"p\" or "
+                     "\"p/q\" in lowest terms, got %r" % (data,))
 
 
 def poly_to_json(p: Polynomial):
     return [frac_to_str(c) for c in p.coeffs]
 
 
-def poly_from_json(data) -> Polynomial:
+def _fracs_from_json(data, what):
     if not isinstance(data, list):
-        raise ValueError("polynomial must be an array of coefficients")
-    return Polynomial([frac_from_json(c) for c in data])
+        raise ValueError("%s must be an array of rationals" % what)
+    return [frac_from_json(x) for x in data]
+
+
+def poly_from_json(data) -> Polynomial:
+    return Polynomial(_fracs_from_json(data, "polynomial"))
+
+
+def alpha_from_json(data) -> AlphaSequence:
+    return AlphaSequence(_fracs_from_json(data, "alpha"))
 
 
 def expansion_to_json(e: Expansion) -> dict:
@@ -47,10 +69,10 @@ def expansion_to_json(e: Expansion) -> dict:
 
 
 def expansion_from_json(data) -> Expansion:
-    alpha = AlphaSequence([frac_from_json(a) for a in data["alpha"]])
+    alpha = alpha_from_json(data["alpha"])
     return Expansion(
         frac_from_json(data["b0"]),
-        [frac_from_json(b) for b in data["block"]],
+        _fracs_from_json(data["block"], "block"),
         alpha)
 
 

@@ -51,17 +51,20 @@ def apply_eps_pi(e: Expansion) -> Expansion:
 
 
 def parse_word(letters, n: int):
-    """Validate a group word given as ["sigma:1", "epspi", ...] tokens."""
+    """Validate a group word given as ["sigma:1", "epspi", ...] tokens.
+
+    Returns the letters as sigma indices k, with None standing for epspi.
+    """
     parsed = []
     for tok in letters:
         if tok == "epspi":
-            parsed.append(("epspi", 0))
+            parsed.append(None)
         elif isinstance(tok, str) and tok.startswith("sigma:"):
             k = int(tok.split(":", 1)[1])
             if not 1 <= k <= n - 1:
                 raise ValueError("sigma index %d out of range for N = %d"
                                  % (k, n))
-            parsed.append(("sigma", k))
+            parsed.append(k)
         else:
             raise ValueError("unknown group-word letter %r" % (tok,))
     return parsed
@@ -69,9 +72,9 @@ def parse_word(letters, n: int):
 
 def apply_word(e: Expansion, letters) -> Expansion:
     """Left-to-right composition of the generators named by the word."""
-    for i, (kind, k) in enumerate(parse_word(letters, e.n)):
+    for i, k in enumerate(parse_word(letters, e.n)):
         try:
-            e = apply_sigma(e, k) if kind == "sigma" else apply_eps_pi(e)
+            e = apply_eps_pi(e) if k is None else apply_sigma(e, k)
         except ZeroPivot as exc:
             raise ZeroPivot("step %d: %s" % (i, exc)) from None
     return e
@@ -98,29 +101,27 @@ def orbit(e: Expansion, pure: bool = False) -> OrbitResult:
     """
     if pure and not e.is_pure:
         raise NotPure("pure orbit requested for a non-pure expansion")
-    n = e.n
-    max_k = n - 2 if pure else n - 1
-    generators = ["sigma:%d" % k for k in range(1, max_k + 1)]
-    if not pure:
-        generators.append("epspi")
+    max_k = e.n - 2 if pure else e.n - 1
+    # sigma_1 .. sigma_max_k, then epspi as in parse_word; only a sigma
+    # divides, so only a sigma edge can be skipped.
+    generators = list(range(1, max_k + 1)) + ([] if pure else [None])
     seen = {e.key(): e}
     frontier = [e]
     skipped = []
     while frontier:
         nxt = []
         for cur in frontier:
-            for gen in generators:
+            for k in generators:
                 try:
-                    if gen == "epspi":
-                        img = apply_eps_pi(cur)
-                    else:
-                        img = apply_sigma(cur, int(gen.split(":")[1]))
+                    img = (apply_eps_pi(cur) if k is None
+                           else apply_sigma(cur, k))
                 except ZeroPivot as exc:
-                    skipped.append(SkippedEdge(cur, gen, str(exc)))
+                    skipped.append(SkippedEdge(cur, "sigma:%d" % k, str(exc)))
                     continue
-                if img.key() not in seen:
-                    seen[img.key()] = img
+                key = img.key()
+                if key not in seen:
+                    seen[key] = img
                     nxt.append(img)
         frontier = nxt
-    ordered = tuple(sorted(seen.values(), key=lambda x: x.key()))
+    ordered = tuple(img for _, img in sorted(seen.items()))
     return OrbitResult(ordered, not skipped, tuple(skipped))

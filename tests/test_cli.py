@@ -76,6 +76,27 @@ class TestExpandCommand:
         assert code == 2
         assert json.loads(err)["error"] == "MalformedInput"
 
+    def test_alpha_string_rejected(self, capsys):
+        code, out, err = run(capsys, ["expand"],
+                             dict(SECT4_INPUT, alpha="134"))
+        assert (code, out) == (2, None)
+        assert json.loads(err)["error"] == "MalformedInput"
+
+    @pytest.mark.parametrize("b0", ["1/0", "1.5", "1e400", True])
+    def test_bad_rational_rejected(self, capsys, b0):
+        code, out, err = run(capsys, ["triple"],
+                             dict(SECT4_EXPANSION, b0=b0))
+        assert (code, out) == (2, None)
+        assert json.loads(err)["error"] == "MalformedInput"
+
+    def test_missing_output_dir(self, capsys, tmp_path):
+        outp = tmp_path / "no-such-dir" / "out.json"
+        code, out, err = run(capsys, ["expand", "--output", str(outp)],
+                             SECT4_INPUT)
+        assert (code, out) == (2, None)
+        assert json.loads(err)["error"] == "MalformedInput"
+        assert not outp.exists()
+
 
 class TestTriplePipeline:
     def test_triple_then_expand_round_trips(self, capsys):
@@ -177,6 +198,14 @@ class TestOtherCommands:
                 triple)
             assert code == 0
             assert out["residual"] <= 1e-9
+
+    @pytest.mark.parametrize("lam", ["1" + "0" * 400, "1e400"],
+                             ids=["401-digit", "1e400"])
+    def test_residual_lambda_outside_float_range(self, capsys, lam):
+        triple = {k: SECT4_INPUT[k] for k in ("A", "B", "C")}
+        code, out, err = run(capsys, ["residual", "--lambda", lam], triple)
+        assert (code, out) == (2, None)
+        assert json.loads(err)["error"] == "MalformedInput"
 
     def test_residual_pole(self, capsys):
         triple = {k: SECT4_INPUT[k] for k in ("A", "B", "C")}

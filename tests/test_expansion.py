@@ -7,12 +7,15 @@ from alphafrac import (
     AlphaSequence,
     AlphaTriple,
     Expansion,
+    FactorizationDegenerate,
     NonGenericPure,
     NotAdmissible,
     NotMonic,
     NotPure,
     PoleAtLambda,
+    ResidueNotUnipotent,
     TraceMismatch,
+    TransferMatrix,
     admissible_decompose,
     build_transfer_matrix,
     convergents,
@@ -25,7 +28,7 @@ from alphafrac import (
 )
 from alphafrac.polyring import Polynomial, PolyMatrix2
 
-from conftest import random_expansion
+from conftest import random_expansion, random_rational
 
 
 def P(*coeffs):
@@ -185,8 +188,34 @@ class TestFactorize:
     def test_det_precondition(self, sect4_triple, sect4_alpha):
         tm = build_transfer_matrix(sect4_triple, P("-7/2", "1/2"),
                                    sect4_alpha)
-        with pytest.raises(ValueError):
+        with pytest.raises(FactorizationDegenerate):
             factorize_transfer_matrix(tm, AlphaSequence([1, 3, 5]))
+
+    def test_wrong_determinant_rejected_by_peel(self):
+        # A peel that succeeds proves det M = -prod(x - alpha_i), so a
+        # perturbed matrix with any other determinant must be rejected.
+        rng = random.Random(29)
+        wrong_det = 0
+        for n in (1, 3, 5, 7):
+            for _ in range(60):
+                e = random_expansion(rng, n)
+                triple, half_trace = expansion_to_triple(e)
+                m = build_transfer_matrix(triple, half_trace, e.alpha).m
+                entries = [m.a, m.b, m.c, m.d]
+                i = rng.randrange(4)
+                coeffs = list(entries[i].coeffs) + [Fraction(0)]
+                coeffs[rng.randrange(len(coeffs))] += random_rational(
+                    rng, nonzero=True)
+                entries[i] = Polynomial(coeffs)
+                m = PolyMatrix2(*entries)
+                if m.det() == -e.alpha.vanishing_poly():
+                    continue
+                wrong_det += 1
+                with pytest.raises((FactorizationDegenerate,
+                                    ResidueNotUnipotent)):
+                    factorize_transfer_matrix(
+                        TransferMatrix(m, half_trace), e.alpha)
+        assert wrong_det >= 200
 
 
 class TestExpand:
@@ -260,6 +289,15 @@ class TestVerify:
         assert by_name == {"A": True, "B": False, "C": True,
                            "determinant_identity": True}
 
+    def test_wrong_expansion_fails(self, sect4_triple):
+        wrong = make_expansion(2, [-3, 1, 3], [1, 3, 4])
+        report = verify_expansion(wrong, sect4_triple)
+        assert report["pass"] is False
+        by_name = {c["name"]: c["pass"] for c in report["checks"]}
+        assert list(by_name) == ["A", "B", "C", "determinant_identity"]
+        assert by_name == {"A": True, "B": False, "C": False,
+                           "determinant_identity": True}
+
     def test_determinant_identity_random(self):
         rng = random.Random(13)
         for _ in range(30):
@@ -285,6 +323,12 @@ class TestNumericResidual:
     def test_pole(self, sect4_triple):
         with pytest.raises(PoleAtLambda):
             numeric_residual(sect4_triple, 6, +1)
+
+    def test_outside_float_range(self, sect4_triple):
+        # A(lambda) overflows a float, or underflows to 0.0 next to its root
+        for lam in (10 ** 400, 6 + F(1, 10 ** 400)):
+            with pytest.raises(ValueError, match="outside float range"):
+                numeric_residual(sect4_triple, lam, +1)
 
 
 class TestRoundTrip:

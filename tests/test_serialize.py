@@ -7,11 +7,13 @@ import pytest
 from alphafrac import AlphaSequence, Expansion
 from alphafrac.polyring import Polynomial
 from alphafrac.serialize import (
+    alpha_from_json,
     canonical_dumps,
     divisor_from_json,
     divisor_to_json,
     expansion_from_json,
     expansion_to_json,
+    frac_from_json,
     jacobi_from_json,
     jacobi_to_json,
     orbit_to_json,
@@ -23,6 +25,34 @@ from alphafrac.serialize import (
 from alphafrac.symmetry import orbit
 
 from conftest import random_expansion, random_jacobi
+
+
+class TestRationalGrammar:
+    @pytest.mark.parametrize("data, value", [
+        ("5/2", Fraction(5, 2)), ("-3", Fraction(-3)), ("0", Fraction(0)),
+        (7, Fraction(7)), (-4, Fraction(-4)),
+    ])
+    def test_accepted(self, data, value):
+        assert frac_from_json(data) == value
+
+    @pytest.mark.parametrize("data", [
+        "1.5", "1e400", "1e10000000", "1/0", "2/4", "3/1", "-0", "007",
+        "1/-2", "-1/-2", " 1", "+1", "", "\u0663", True, False, None, 1.5,
+        [1],
+    ])
+    def test_rejected(self, data):
+        with pytest.raises(ValueError):
+            frac_from_json(data)
+
+    def test_alpha_must_be_a_list(self):
+        assert alpha_from_json(["1", 3, "4"]) == AlphaSequence([1, 3, 4])
+        with pytest.raises(ValueError):
+            alpha_from_json("134")
+
+    def test_expansion_block_must_be_a_list(self):
+        with pytest.raises(ValueError):
+            expansion_from_json({"b0": "1", "block": "134",
+                                 "alpha": ["1", "3", "4"]})
 
 
 class TestPolynomialEncoding:
