@@ -22,7 +22,6 @@ from .errors import (
     ResidueNotUnipotent,
     RootOfR,
     SpecialDivisor,
-    TraceMismatch,
     UnknownExample,
     ZeroPivot,
 )
@@ -31,7 +30,6 @@ from .expansion import (
     AlphaTriple,
     ConvergentPair,
     Expansion,
-    TransferMatrix,
     admissible_decompose,
     build_transfer_matrix,
     convergents,
@@ -51,7 +49,7 @@ from .jacobi import (
     jacobi_from_divisor,
     pure_beta_candidates,
 )
-from .polyring import NEG_INF, Polynomial, PolyMatrix2, poly_sqrt, rational_sqrt
+from .polyring import Polynomial, PolyMatrix2, poly_sqrt, rational_sqrt
 from .symmetry import (
     OrbitResult,
     apply_eps_pi,

@@ -227,7 +227,7 @@ def main(argv=None) -> int:
             {"error": exc.code, "detail": str(exc)}))
         return 1
     except (json.JSONDecodeError, KeyError, TypeError, ValueError,
-            OSError) as exc:
+            OSError, RecursionError) as exc:
         sys.stderr.write(canonical_dumps(
             {"error": "MalformedInput", "detail": str(exc)}))
         return 2

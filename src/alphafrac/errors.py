@@ -23,10 +23,6 @@ class NotAdmissible(AlphaFractionError):
     """R - prod(x - alpha_i) is not a perfect square of small enough degree."""
 
 
-class TraceMismatch(AlphaFractionError):
-    """Half-trace candidate T does not satisfy T^2 + prod(x - alpha_i) = B^2 - AC."""
-
-
 class FactorizationDegenerate(AlphaFractionError):
     """Matrix factorization hit the codimension-1 degenerate locus."""
 

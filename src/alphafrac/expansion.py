@@ -23,7 +23,6 @@ from .errors import (
     NotPure,
     PoleAtLambda,
     ResidueNotUnipotent,
-    TraceMismatch,
 )
 from .polyring import Polynomial, PolyMatrix2, as_fraction, poly_sqrt
 
@@ -31,7 +30,7 @@ from .polyring import Polynomial, PolyMatrix2, as_fraction, poly_sqrt
 class AlphaSequence:
     """An odd-length sequence of pairwise distinct rational shifts."""
 
-    __slots__ = ("alphas",)
+    __slots__ = ("alphas", "_frak")
 
     def __init__(self, alphas):
         a = tuple(as_fraction(x) for x in alphas)
@@ -40,6 +39,7 @@ class AlphaSequence:
         if len(set(a)) != len(a):
             raise ValueError("shift parameters must be pairwise distinct")
         self.alphas = a
+        self._frak = None
 
     @property
     def n(self) -> int:
@@ -50,8 +50,14 @@ class AlphaSequence:
         return (len(self.alphas) - 1) // 2
 
     def vanishing_poly(self) -> Polynomial:
-        """The monic degree-N polynomial prod_i (x - alpha_i)."""
-        return Polynomial.from_roots(self.alphas)
+        """The monic degree-N polynomial prod_i (x - alpha_i).
+
+        Built on first use and kept: orbit walks construct many sequences
+        that never need it.
+        """
+        if self._frak is None:
+            self._frak = Polynomial.from_roots(self.alphas)
+        return self._frak
 
     def swapped(self, k: int) -> "AlphaSequence":
         """Swap alpha_k and alpha_{k+1} (1-based k)."""
@@ -157,13 +163,6 @@ class AlphaTriple:
         return "AlphaTriple(A=%s, B=%s, C=%s)" % (self.A, self.B, self.C)
 
 
-class TransferMatrix(NamedTuple):
-    """The matrix [[T-B, -C], [A, T+B]] together with its half-trace T."""
-
-    m: PolyMatrix2
-    T: Polynomial
-
-
 class ConvergentPair(NamedTuple):
     index: int
     P: Polynomial
@@ -223,17 +222,16 @@ def admissible_decompose(R: Polynomial, alpha: AlphaSequence) -> Polynomial:
     return s
 
 
-def build_transfer_matrix(t: AlphaTriple, T: Polynomial,
-                          alpha: AlphaSequence) -> TransferMatrix:
-    """Assemble [[T-B, -C], [A, T+B]]; requires T^2 + prod(x-alpha_i) = B^2 - AC."""
-    if T * T + alpha.vanishing_poly() != t.discriminant:
-        raise TraceMismatch(
-            "T^2 + prod(x - alpha_i) does not equal B^2 - AC")
-    m = PolyMatrix2(T - t.B, -t.C, t.A, T + t.B)
-    return TransferMatrix(m, T)
+def build_transfer_matrix(t: AlphaTriple, T: Polynomial) -> PolyMatrix2:
+    """Assemble [[T-B, -C], [A, T+B]] for the half-trace T.
+
+    T is not checked here: factorize_transfer_matrix rejects any T with
+    T^2 + prod(x - alpha_i) != B^2 - AC, as that is a wrong determinant.
+    """
+    return PolyMatrix2(T - t.B, -t.C, t.A, T + t.B)
 
 
-def factorize_transfer_matrix(tm: TransferMatrix,
+def factorize_transfer_matrix(m: PolyMatrix2,
                               alpha: AlphaSequence) -> Expansion:
     """Peel the transfer matrix into elementary factors, recovering b_0..b_N.
 
@@ -242,9 +240,10 @@ def factorize_transfer_matrix(tm: TransferMatrix,
     vanishes.  Each peel divides out (x - alpha_{k+1}) exactly; the final
     residue must be the unipotent [[1, b_N - b_0], [0, 1]].  A successful
     peel thus proves det M = -prod(x - alpha_i); a matrix with any other
-    determinant raises FactorizationDegenerate or ResidueNotUnipotent.
+    determinant, e.g. one built from a wrong half-trace, raises
+    FactorizationDegenerate or ResidueNotUnipotent.
     """
-    X, Y, Z, W = tm.m.a, tm.m.b, tm.m.c, tm.m.d
+    X, Y, Z, W = m.a, m.b, m.c, m.d
     bs = []
     for k, al in enumerate(alpha.alphas):
         x, y, z, w = X(al), Y(al), Z(al), W(al)
@@ -275,9 +274,8 @@ def factorize_transfer_matrix(tm: TransferMatrix,
 def expand(t: AlphaTriple, alpha: AlphaSequence):
     """Both N-periodic expansions of the triple, for T = +S then T = -S."""
     s = admissible_decompose(t.discriminant, alpha)
-    return tuple(
-        factorize_transfer_matrix(build_transfer_matrix(t, T, alpha), alpha)
-        for T in (s, -s))
+    return tuple(factorize_transfer_matrix(build_transfer_matrix(t, T), alpha)
+                 for T in (s, -s))
 
 
 def pure_expand(t: AlphaTriple, alpha: AlphaSequence) -> Expansion:
@@ -293,11 +291,11 @@ def pure_expand(t: AlphaTriple, alpha: AlphaSequence) -> Expansion:
     if b_val == 0:
         raise NonGenericPure("B(alpha_N) = 0: trace sign is not determined")
     s = admissible_decompose(t.discriminant, alpha)
+    # S(alpha_N)^2 = R(alpha_N) = B(alpha_N)^2 since C(alpha_N) = 0, so one
+    # sign gives T(alpha_N) = -B(alpha_N).  With P_{N-1} = T - B, P_N = -C
+    # and P_N(alpha_N) = (b_N - b_0) P_{N-1}(alpha_N), that forces b_N = b_0.
     T = s if s(a_last) == -b_val else -s
-    assert T(a_last) == -b_val
-    e = factorize_transfer_matrix(build_transfer_matrix(t, T, alpha), alpha)
-    assert e.is_pure
-    return e
+    return factorize_transfer_matrix(build_transfer_matrix(t, T), alpha)
 
 
 def verify_expansion(e: Expansion, t: AlphaTriple) -> dict:

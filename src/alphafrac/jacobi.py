@@ -106,9 +106,8 @@ def jacobi_from_divisor(points, R: Polynomial) -> JacobiTriple:
                 % (i, p.mu * p.mu, p.lam, R(p.lam)))
     U = Polynomial.from_roots(p.lam for p in pts)
     V = _lagrange([(p.lam, p.mu) for p in pts])
-    W, rem = divmod(R - V * V, U)
-    assert rem.is_zero()
-    return JacobiTriple(U, V, W, R)
+    # U divides R - V^2 as V(lam_i)^2 = R(lam_i); the constructor re-checks.
+    return JacobiTriple(U, V, divmod(R - V * V, U)[0], R)
 
 
 def _divisors(n: int):
@@ -157,16 +156,9 @@ def divisor_from_jacobi(j: JacobiTriple):
         if r in roots:
             raise RepeatedAbscissa("U has the repeated root %s" % r)
         roots.append(r)
-        u, rem = u.synthetic_div(r)
-        assert rem == 0
-    points = []
-    for r in sorted(roots):
-        mu = j.V(r)
-        if mu * mu != j.R(r):
-            raise PointOffCurve(
-                "V(%s)^2 = %s but R(%s) = %s" % (r, mu * mu, r, j.R(r)))
-        points.append(CurvePoint(r, mu))
-    return tuple(points)
+        u = u.synthetic_div(r)[0]
+    # Points are on the curve: U(r) = 0 and V^2 + U W = R give V(r)^2 = R(r).
+    return tuple(CurvePoint(r, j.V(r)) for r in sorted(roots))
 
 
 def alpha_triple_from_jacobi(j: JacobiTriple, beta) -> AlphaTriple:

@@ -9,9 +9,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-# Degree of the zero polynomial: orders below every integer.
-NEG_INF = float("-inf")
-
 
 def as_fraction(x) -> Fraction:
     """Coerce an int, string ("p/q") or Fraction to an exact rational."""
@@ -40,7 +37,7 @@ class Polynomial:
     """Dense univariate polynomial; coeffs[i] is the degree-i coefficient.
 
     Trailing zero coefficients are stripped on construction, so the zero
-    polynomial has an empty coefficient tuple and degree NEG_INF.
+    polynomial has an empty coefficient tuple and degree -1.
     """
 
     __slots__ = ("coeffs",)
@@ -50,10 +47,6 @@ class Polynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def constant(cls, c) -> "Polynomial":
-        return cls([as_fraction(c)])
 
     @classmethod
     def linear(cls, alpha) -> "Polynomial":
@@ -68,8 +61,8 @@ class Polynomial:
         return p
 
     @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
 
     @property
     def lead(self) -> Fraction:

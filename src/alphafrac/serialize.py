@@ -39,7 +39,7 @@ def frac_from_json(data) -> Fraction:
         if str(value) == data:
             return value
     raise ValueError("rational must be an integer or a string \"p\" or "
-                     "\"p/q\" in lowest terms, got %r" % (data,))
+                     "\"p/q\" in lowest terms, got %.40r" % (data,))
 
 
 def poly_to_json(p: Polynomial):

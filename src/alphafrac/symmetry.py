@@ -9,6 +9,7 @@ in the pure case the group breaks down to S_{N-1} (sigma_1 .. sigma_{N-2}).
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 from .errors import NotPure, ZeroPivot
@@ -50,23 +51,29 @@ def apply_eps_pi(e: Expansion) -> Expansion:
     return Expansion(e.b0 - b_last, block, e.alpha.reversed())
 
 
+_SIGMA = re.compile(r"sigma:([1-9][0-9]*)")
+
+
 def parse_word(letters, n: int):
     """Validate a group word given as ["sigma:1", "epspi", ...] tokens.
 
-    Returns the letters as sigma indices k, with None standing for epspi.
+    A sigma letter is "sigma:" and an ASCII index without sign, space or
+    leading zero.  Returns the letters as sigma indices k, with None
+    standing for epspi.
     """
     parsed = []
     for tok in letters:
         if tok == "epspi":
             parsed.append(None)
-        elif isinstance(tok, str) and tok.startswith("sigma:"):
-            k = int(tok.split(":", 1)[1])
-            if not 1 <= k <= n - 1:
-                raise ValueError("sigma index %d out of range for N = %d"
-                                 % (k, n))
-            parsed.append(k)
-        else:
-            raise ValueError("unknown group-word letter %r" % (tok,))
+            continue
+        m = isinstance(tok, str) and _SIGMA.fullmatch(tok)
+        if not m:
+            raise ValueError("unknown group-word letter %.40r" % (tok,))
+        k = int(m.group(1))
+        if not 1 <= k <= n - 1:
+            raise ValueError("sigma index %.40s out of range for N = %d"
+                             % (m.group(1), n))
+        parsed.append(k)
     return parsed
 
 

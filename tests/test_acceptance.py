@@ -161,9 +161,9 @@ def test_round_trip_suite(corpus):
     start = time.perf_counter()
     for e in corpus:
         triple, half_trace = expansion_to_triple(e)
-        tm = build_transfer_matrix(triple, half_trace, e.alpha)
-        assert tm.m.det() == -e.alpha.vanishing_poly()
-        assert factorize_transfer_matrix(tm, e.alpha) == e
+        m = build_transfer_matrix(triple, half_trace)
+        assert m.det() == -e.alpha.vanishing_poly()
+        assert factorize_transfer_matrix(m, e.alpha) == e
         pairs = convergents(e)
         det = pairs[-1].P * pairs[-2].Q - pairs[-2].P * pairs[-1].Q
         assert det == e.alpha.vanishing_poly()

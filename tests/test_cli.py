@@ -89,6 +89,20 @@ class TestExpandCommand:
         assert (code, out) == (2, None)
         assert json.loads(err)["error"] == "MalformedInput"
 
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        inp = tmp_path / "nested.json"
+        inp.write_text("[" * 100_000)
+        code, out, err = run(capsys, ["expand", "-i", str(inp)])
+        assert (code, out) == (2, None)
+        assert json.loads(err)["error"] == "MalformedInput"
+
+    def test_long_value_gives_short_record(self, capsys):
+        code, out, err = run(capsys, ["triple"],
+                             dict(SECT4_EXPANSION, b0="x" * 10 ** 6))
+        assert (code, out) == (2, None)
+        assert json.loads(err)["error"] == "MalformedInput"
+        assert len(err.encode()) < 1024
+
     def test_missing_output_dir(self, capsys, tmp_path):
         outp = tmp_path / "no-such-dir" / "out.json"
         code, out, err = run(capsys, ["expand", "--output", str(outp)],

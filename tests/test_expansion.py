@@ -14,8 +14,6 @@ from alphafrac import (
     NotPure,
     PoleAtLambda,
     ResidueNotUnipotent,
-    TraceMismatch,
-    TransferMatrix,
     admissible_decompose,
     build_transfer_matrix,
     convergents,
@@ -37,6 +35,13 @@ def P(*coeffs):
 
 def F(*args):
     return Fraction(*args)
+
+
+def perturbed(rng, p):
+    """p with one coefficient (to degree + 1) moved by a nonzero rational."""
+    coeffs = list(p.coeffs) + [Fraction(0)]
+    coeffs[rng.randrange(len(coeffs))] += random_rational(rng, nonzero=True)
+    return Polynomial(coeffs)
 
 
 def make_expansion(b0, block, alphas):
@@ -148,33 +153,31 @@ class TestAdmissibleDecompose:
 
 class TestTransferMatrix:
     def test_sect4_matrix(self, sect4_triple, sect4_alpha):
-        tm = build_transfer_matrix(sect4_triple, P("-7/2", "1/2"),
-                                   sect4_alpha)
-        assert tm.m == PolyMatrix2(P("-7", "2"), P("2", "-4", "1"),
-                                   P("-6", "1"), P("0", "-1"))
-        assert tm.m.det() == -sect4_alpha.vanishing_poly()
+        m = build_transfer_matrix(sect4_triple, P("-7/2", "1/2"))
+        assert m == PolyMatrix2(P("-7", "2"), P("2", "-4", "1"),
+                                P("-6", "1"), P("0", "-1"))
+        assert m.det() == -sect4_alpha.vanishing_poly()
 
-    def test_negated_trace_entry(self, sect4_triple, sect4_alpha):
-        tm = build_transfer_matrix(sect4_triple, P("7/2", "-1/2"),
-                                   sect4_alpha)
+    def test_negated_trace_entry(self, sect4_triple):
+        m = build_transfer_matrix(sect4_triple, P("7/2", "-1/2"))
         # top-left = -S - B = x
-        assert tm.m.a == P("0", "1")
+        assert m.a == P("0", "1")
 
     def test_mismatched_trace(self, sect4_triple, sect4_alpha):
-        with pytest.raises(TraceMismatch):
-            build_transfer_matrix(sect4_triple, P("1"), sect4_alpha)
+        # T^2 + prod(x - alpha_i) != B^2 - AC for T = 1; the peel rejects it.
+        with pytest.raises(FactorizationDegenerate):
+            factorize_transfer_matrix(
+                build_transfer_matrix(sect4_triple, P("1")), sect4_alpha)
 
 
 class TestFactorize:
     def test_sect4_plus_branch(self, sect4_triple, sect4_alpha):
-        tm = build_transfer_matrix(sect4_triple, P("-7/2", "1/2"),
-                                   sect4_alpha)
-        assert factorize_transfer_matrix(tm, sect4_alpha) == SECT4
+        m = build_transfer_matrix(sect4_triple, P("-7/2", "1/2"))
+        assert factorize_transfer_matrix(m, sect4_alpha) == SECT4
 
     def test_sect4_minus_branch(self, sect4_triple, sect4_alpha):
-        tm = build_transfer_matrix(sect4_triple, P("7/2", "-1/2"),
-                                   sect4_alpha)
-        got = factorize_transfer_matrix(tm, sect4_alpha)
+        m = build_transfer_matrix(sect4_triple, P("7/2", "-1/2"))
+        got = factorize_transfer_matrix(m, sect4_alpha)
         assert got == make_expansion(
             F(-1, 5), [F(-5, 2), F(6, 5), F(3, 10)], [1, 3, 4])
 
@@ -185,37 +188,37 @@ class TestFactorize:
         assert num == -5 and sect4_triple.A(1) == -5
         assert num / sect4_triple.A(1) == 1
 
-    def test_det_precondition(self, sect4_triple, sect4_alpha):
-        tm = build_transfer_matrix(sect4_triple, P("-7/2", "1/2"),
-                                   sect4_alpha)
+    def test_det_precondition(self, sect4_triple):
+        m = build_transfer_matrix(sect4_triple, P("-7/2", "1/2"))
         with pytest.raises(FactorizationDegenerate):
-            factorize_transfer_matrix(tm, AlphaSequence([1, 3, 5]))
+            factorize_transfer_matrix(m, AlphaSequence([1, 3, 5]))
 
     def test_wrong_determinant_rejected_by_peel(self):
         # A peel that succeeds proves det M = -prod(x - alpha_i), so a
-        # perturbed matrix with any other determinant must be rejected.
+        # perturbed matrix with any other determinant must be rejected,
+        # whether one entry or the half-trace T was perturbed; for T the
+        # determinant is B^2 - AC - T^2.
         rng = random.Random(29)
-        wrong_det = 0
+        wrong = {"entry": 0, "trace": 0}
         for n in (1, 3, 5, 7):
             for _ in range(60):
                 e = random_expansion(rng, n)
                 triple, half_trace = expansion_to_triple(e)
-                m = build_transfer_matrix(triple, half_trace, e.alpha).m
+                m = build_transfer_matrix(triple, half_trace)
                 entries = [m.a, m.b, m.c, m.d]
                 i = rng.randrange(4)
-                coeffs = list(entries[i].coeffs) + [Fraction(0)]
-                coeffs[rng.randrange(len(coeffs))] += random_rational(
-                    rng, nonzero=True)
-                entries[i] = Polynomial(coeffs)
-                m = PolyMatrix2(*entries)
-                if m.det() == -e.alpha.vanishing_poly():
-                    continue
-                wrong_det += 1
-                with pytest.raises((FactorizationDegenerate,
-                                    ResidueNotUnipotent)):
-                    factorize_transfer_matrix(
-                        TransferMatrix(m, half_trace), e.alpha)
-        assert wrong_det >= 200
+                entries[i] = perturbed(rng, entries[i])
+                wrong_t = build_transfer_matrix(
+                    triple, perturbed(rng, half_trace))
+                for kind, m in (("entry", PolyMatrix2(*entries)),
+                                ("trace", wrong_t)):
+                    if m.det() == -e.alpha.vanishing_poly():
+                        continue
+                    wrong[kind] += 1
+                    with pytest.raises((FactorizationDegenerate,
+                                        ResidueNotUnipotent)):
+                        factorize_transfer_matrix(m, e.alpha)
+        assert min(wrong.values()) >= 200
 
 
 class TestExpand:
@@ -338,9 +341,9 @@ class TestRoundTrip:
             for _ in range(25):
                 e = random_expansion(rng, n)
                 triple, half_trace = expansion_to_triple(e)
-                tm = build_transfer_matrix(triple, half_trace, e.alpha)
-                assert tm.m.det() == -e.alpha.vanishing_poly()
-                assert factorize_transfer_matrix(tm, e.alpha) == e
+                m = build_transfer_matrix(triple, half_trace)
+                assert m.det() == -e.alpha.vanishing_poly()
+                assert factorize_transfer_matrix(m, e.alpha) == e
 
     def test_pure_preservation(self):
         rng = random.Random(19)

@@ -96,10 +96,12 @@ class TestWord:
         assert half_trace == -orig_trace
 
     def test_bad_letters(self):
-        with pytest.raises(ValueError):
-            parse_word(["sigma:3"], 3)
-        with pytest.raises(ValueError):
-            parse_word(["rho"], 3)
+        # out of range, unknown, and indices int() would read but the
+        # grammar "sigma:" [1-9][0-9]* rejects (sigma:\u0662 is Arabic-Indic 2)
+        for letter in ("sigma:3", "rho", "sigma:0_1", "sigma:\u0662",
+                       "sigma:+1", "sigma: 1", "sigma:01"):
+            with pytest.raises(ValueError):
+                parse_word([letter], 3)
 
     def test_zero_pivot_reports_step(self):
         e = make(1, [0, 1, 2], [1, 3, 4])
