@@ -110,55 +110,77 @@ def jacobi_from_divisor(points, R: Polynomial) -> JacobiTriple:
     return JacobiTriple(U, V, divmod(R - V * V, U)[0], R)
 
 
-def _divisors(n: int):
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def _rational_roots(u: Polynomial):
+    """The distinct rational roots of a monic u, by p-adic lifting.
 
+    After Loos's rational-zero algorithm (SIAM J. Comput. 12 (1983)).
 
-def _rational_root(p: Polynomial):
-    """Some rational root of p, or None (rational root theorem)."""
-    if p.coeff(0) == 0:
-        return Fraction(0)
-    denom_lcm = 1
-    for c in p.coeffs:
-        denom_lcm = denom_lcm * c.denominator // math.gcd(
-            denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in p.coeffs]
-    for num in _divisors(ints[0]):
-        for den in _divisors(ints[-1]):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if p(cand) == 0:
-                    return cand
-    return None
+    Every rational root of the squarefree part h = u / gcd(u, u') is y / D,
+    D the lcm of h's denominators, for an integer root y of the monic
+    integer polynomial f(y) = D^n h(y / D).  At a prime p where every root
+    of f mod p is simple, each such root lifts by Newton steps mod p^(2^k)
+    to the only integer candidate of absolute value within Cauchy's bound
+    1 + max|f_i|; it is a root if f vanishes there.  The work is polynomial
+    in the degree and the bit-size of u.
+    """
+    a, b = u, Polynomial([k * c for k, c in enumerate(u.coeffs)][1:])
+    while b:
+        a, b = b, a % b
+    h = u // (a / a.lead)
+    n = h.degree
+    D = math.lcm(*(c.denominator for c in h.coeffs))
+    f = [int(c * D ** (n - i)) for i, c in enumerate(h.coeffs)]
+    df = [i * c for i, c in enumerate(f)][1:]
+
+    def horner(cs, x):
+        acc = 0
+        for c in reversed(cs):
+            acc = acc * x + c
+        return acc
+
+    p = 3
+    while True:
+        mod_p = [x for x in range(p) if horner(f, x) % p == 0]
+        if all(horner(df, x) % p for x in mod_p):
+            break
+        p += 2
+        while any(p % q == 0 for q in range(3, math.isqrt(p) + 1, 2)):
+            p += 2
+    bound = 1 + max(map(abs, f[:-1]), default=0)
+    roots = []
+    for y in mod_p:
+        m = p
+        while m <= 2 * bound:
+            m *= m
+            y = (y - horner(f, y) * pow(horner(df, y), -1, m)) % m
+        if y > m // 2:
+            y -= m
+        if horner(f, y) == 0:
+            roots.append(Fraction(y, D))
+    return roots
 
 
 def divisor_from_jacobi(j: JacobiTriple):
     """The divisor points (lam_i, V(lam_i)) at the rational roots of U.
 
     Requires U to split into distinct rational linear factors; otherwise
-    the Jacobi triple itself is the faithful representation.
+    the Jacobi triple itself is the faithful representation.  Roots are
+    found in time polynomial in the degree and bit-size of U.
     """
     u = j.U
-    roots = []
-    while u.degree >= 1:
-        r = _rational_root(u)
-        if r is None:
-            raise IrrationalSupport(
-                "U does not split over Q (remaining factor %s)" % u)
-        if r in roots:
-            raise RepeatedAbscissa("U has the repeated root %s" % r)
-        roots.append(r)
+    roots = sorted(_rational_roots(u))
+    # Meet the roots by height (|num|, den, + before -), so that the
+    # repeated root an error names is the one of least height.
+    for r in sorted(roots, key=lambda r: (abs(r.numerator), r.denominator,
+                                          r < 0)):
         u = u.synthetic_div(r)[0]
+        if u(r) == 0:
+            raise RepeatedAbscissa("U has the repeated root %s" % r)
+    if u.degree >= 1:
+        raise IrrationalSupport(
+            "U does not split over Q (remaining factor %s)" % u)
     # Points are on the curve: U(r) = 0 and V^2 + U W = R give V(r)^2 = R(r).
-    return tuple(CurvePoint(r, j.V(r)) for r in sorted(roots))
+    return tuple(CurvePoint(r, j.V(r)) for r in roots)
 
 
 def alpha_triple_from_jacobi(j: JacobiTriple, beta) -> AlphaTriple:

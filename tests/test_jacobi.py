@@ -90,6 +90,41 @@ class TestToDivisor:
         with pytest.raises(IrrationalSupport):
             divisor_from_jacobi(j)
 
+    @pytest.mark.parametrize("u, exc, message", [
+        # -2 is met before 3: roots are walked by (|num|, den, + before -)
+        (Polynomial.from_roots([3, 3, -2, -2]), RepeatedAbscissa,
+         "U has the repeated root -2"),
+        (Polynomial.from_roots([1, 1]) * P("1", "0", "1"), RepeatedAbscissa,
+         "U has the repeated root 1"),
+        (Polynomial.from_roots([F(1, 2), -5]) * P("1", "0", "1"),
+         IrrationalSupport,
+         "U does not split over Q (remaining factor x^2 + 1)"),
+    ])
+    def test_error_records(self, u, exc, message):
+        w = Polynomial.from_roots(range(u.degree + 1))
+        j = JacobiTriple(u, Polynomial(), w, u * w)
+        with pytest.raises(exc) as info:
+            divisor_from_jacobi(j)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("lams", [
+        # genus 6, heights up to 1000: far beyond a divisor-of-U(0) search
+        [F(997, 991), F(-983, 977), F(971, 1000), F(-953, 947),
+         F(1000, 937), F(-929, 919)],
+        # genus 3, integer abscissae near 10^12
+        [10 ** 12 + 39, -(10 ** 12 - 11), 10 ** 12 + 61],
+    ])
+    def test_round_trip_large_heights(self, lams):
+        rng = random.Random(71)
+        points = [CurvePoint(F(l), random_rational(rng, -9, 9, 4))
+                  for l in lams]
+        from alphafrac.jacobi import _lagrange
+        v = _lagrange(points)
+        w = random_polynomial(rng, len(lams) + 1, monic=True)
+        r = v * v + Polynomial.from_roots(lams) * w
+        got = divisor_from_jacobi(jacobi_from_divisor(points, r))
+        assert got == tuple(sorted(points))
+
     def test_round_trip_random(self):
         rng = random.Random(47)
         for _ in range(40):
