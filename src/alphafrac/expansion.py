@@ -164,13 +164,12 @@ class AlphaTriple:
 
 
 class ConvergentPair(NamedTuple):
-    index: int
     P: Polynomial
     Q: Polynomial
 
 
 def convergents(e: Expansion):
-    """Convergent numerators/denominators P_k, Q_k for k = -1 .. N.
+    """Convergents: pairs[k + 1] is (P_k, Q_k), for k = -1 .. N.
 
     The step-N coefficient is b_N* = b_N - b_0; partial numerators are
     a_k = x - alpha_k.
@@ -178,15 +177,15 @@ def convergents(e: Expansion):
     alphas = e.alpha.alphas
     n = e.n
     pairs = [
-        ConvergentPair(-1, Polynomial([1]), Polynomial()),
-        ConvergentPair(0, Polynomial([e.b0]), Polynomial([1])),
+        ConvergentPair(Polynomial([1]), Polynomial()),
+        ConvergentPair(Polynomial([e.b0]), Polynomial([1])),
     ]
     for k in range(1, n + 1):
         b = e.block[k - 1] if k < n else e.bn_star
         a = Polynomial.linear(alphas[k - 1])
         P = b * pairs[-1].P + a * pairs[-2].P
         Q = b * pairs[-1].Q + a * pairs[-2].Q
-        pairs.append(ConvergentPair(k, P, Q))
+        pairs.append(ConvergentPair(P, Q))
     return pairs
 
 

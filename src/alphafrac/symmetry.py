@@ -13,7 +13,9 @@ import re
 from typing import NamedTuple
 
 from .errors import NotPure, ZeroPivot
-from .expansion import Expansion
+from .expansion import Expansion, expansion_to_triple
+
+_ZERO_PIVOT = "sigma_%d undefined: b_%d = 0"
 
 
 def apply_sigma(e: Expansion, k: int) -> Expansion:
@@ -28,7 +30,7 @@ def apply_sigma(e: Expansion, k: int) -> Expansion:
         raise ValueError("sigma index must satisfy 1 <= k <= N-1")
     pivot = e.block[k - 1]
     if pivot == 0:
-        raise ZeroPivot("sigma_%d undefined: b_%d = 0" % (k, k))
+        raise ZeroPivot(_ZERO_PIVOT % (k, k))
     delta = (e.alpha.alphas[k] - e.alpha.alphas[k - 1]) / pivot
     c = [e.b0] + list(e.block[:-1])
     u = e.bn_star
@@ -105,6 +107,12 @@ def orbit(e: Expansion, pure: bool = False) -> OrbitResult:
     In pure mode (requires e pure) only sigma_1 .. sigma_{N-2} act.
     Zero-pivot edges are recorded and skipped, not fatal.  Expansions come
     back in canonical order: lexicographic on (alpha order, b_0, block).
+
+    Each image is keyed by (order, branch) and built only if the key is
+    new: order is the ranks of its shifts, branch the parity of its epspi
+    steps, kept at 0 when the half-trace is 0 as both branches then
+    coincide.  The key determines the element because the alpha-fraction
+    of a fixed phi over a fixed shift order is unique.
     """
     if pure and not e.is_pure:
         raise NotPure("pure orbit requested for a non-pure expansion")
@@ -112,23 +120,32 @@ def orbit(e: Expansion, pure: bool = False) -> OrbitResult:
     # sigma_1 .. sigma_max_k, then epspi as in parse_word; only a sigma
     # divides, so only a sigma edge can be skipped.
     generators = list(range(1, max_k + 1)) + ([] if pure else [None])
-    seen = {e.key(): e}
-    frontier = [e]
+    flip = 0 if pure or expansion_to_triple(e)[1].is_zero() else 1
+    rank = {a: i for i, a in enumerate(sorted(e.alpha.alphas))}
+    start = (tuple(rank[a] for a in e.alpha.alphas), 0)
+    seen = {start: e}
+    frontier = [start]
     skipped = []
     while frontier:
         nxt = []
-        for cur in frontier:
+        for order, branch in frontier:
+            cur = seen[order, branch]
             for k in generators:
-                try:
-                    img = (apply_eps_pi(cur) if k is None
-                           else apply_sigma(cur, k))
-                except ZeroPivot as exc:
-                    skipped.append(SkippedEdge(cur, "sigma:%d" % k, str(exc)))
+                if k is None:
+                    key = (order[::-1], branch ^ flip)
+                elif cur.block[k - 1] == 0:
+                    skipped.append(
+                        SkippedEdge(cur, "sigma:%d" % k, _ZERO_PIVOT % (k, k)))
                     continue
-                key = img.key()
+                else:
+                    key = (order[:k - 1] + (order[k], order[k - 1])
+                           + order[k + 1:], branch)
                 if key not in seen:
-                    seen[key] = img
-                    nxt.append(img)
+                    seen[key] = (apply_eps_pi(cur) if k is None
+                                 else apply_sigma(cur, k))
+                    nxt.append(key)
         frontier = nxt
-    ordered = tuple(img for _, img in sorted(seen.items()))
-    return OrbitResult(ordered, not skipped, tuple(skipped))
+    ordered = sorted(seen.items(), key=lambda kv: (kv[0][0], kv[1].b0,
+                                                   kv[1].block))
+    return OrbitResult(tuple(img for _, img in ordered), not skipped,
+                       tuple(skipped))

@@ -11,9 +11,9 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def test_jacobi_roundtrip_tiny():
+def run_tiny(workload):
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "jacobi_roundtrip",
+        [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", "0", "--seconds", "0", "--tiny", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -22,3 +22,11 @@ def test_jacobi_roundtrip_tiny():
     assert result["correct"] is True
     assert result["failed"] == 0
     assert set(result["metrics"]) == {m["name"] for m in spec["end_to_end"]}
+
+
+def test_jacobi_roundtrip_tiny():
+    run_tiny("jacobi_roundtrip")
+
+
+def test_orbit_closure_tiny():
+    run_tiny("orbit_closure")

@@ -2,6 +2,7 @@
 
 sympy and hypothesis are test-only; without them this module is skipped.
 """
+import random
 from fractions import Fraction
 
 import pytest
@@ -58,9 +59,7 @@ def from_sympy(p):
                        for c in reversed(p.all_coeffs())])
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(jacobi_triples())
-def test_matches_sympy_roots(j):
+def check_against_sympy(j):
     u = to_sympy(j.U)
     found = {Fraction(int(r.p), int(r.q)): m
              for r, m in u.ground_roots().items()}
@@ -81,3 +80,24 @@ def test_matches_sympy_roots(j):
         points = divisor_from_jacobi(j)
         assert [p.lam for p in points] == sorted(found)
         assert [p.mu for p in points] == [j.V(r) for r in sorted(found)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(jacobi_triples())
+def test_matches_sympy_roots(j):
+    check_against_sympy(j)
+
+
+@pytest.mark.parametrize("repeats, quadratic", [(0, False), (2, True)])
+def test_degree_16_matches_sympy(repeats, quadratic):
+    # Degree 16 with roots of height 10^9 / 10^6: a large gcd(U, U').
+    rng = random.Random(16)
+    distinct = 16 - repeats - 2 * quadratic
+    lams = [Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 10 ** 6))
+            for _ in range(distinct)]
+    u = Polynomial.from_roots(lams + lams[:repeats])
+    if quadratic:
+        u = u * Polynomial([Fraction(3, 2), Fraction(-1, 3), 1])
+    v = Polynomial([Fraction(rng.randint(-9, 9), 4) for _ in range(16)])
+    w = Polynomial([Fraction(rng.randint(-9, 9), 3) for _ in range(17)] + [1])
+    check_against_sympy(JacobiTriple(u, v, w, v * v + u * w))

@@ -1,20 +1,31 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from alphafrac import (
+    AlphaFractionError,
     AlphaSequence,
+    AlphaTriple,
     Expansion,
     NotPure,
+    OrbitResult,
     ZeroPivot,
+    alpha_triple_from_jacobi,
     apply_eps_pi,
     apply_sigma,
     apply_word,
+    build_transfer_matrix,
+    expand,
     expansion_to_triple,
+    factorize_transfer_matrix,
+    jacobi_from_divisor,
     orbit,
 )
-from alphafrac.symmetry import parse_word
+from alphafrac.polyring import Polynomial, rational_sqrt
+from alphafrac.serialize import canonical_dumps, orbit_to_json
+from alphafrac.symmetry import SkippedEdge, parse_word
 
 from conftest import random_expansion
 
@@ -225,3 +236,139 @@ class TestOrbit:
         assert result.skipped_edges
         for edge in result.skipped_edges:
             assert edge.generator.startswith("sigma:")
+
+
+def value_keyed_orbit(e, pure=False):
+    """Reference BFS: build every generator image, dedup on Expansion.key().
+
+    Returns the OrbitResult and the epspi parity of the BFS path to each
+    element, by key.
+    """
+    max_k = e.n - 2 if pure else e.n - 1
+    generators = list(range(1, max_k + 1)) + ([] if pure else [None])
+    parity = {e.key(): 0}
+    seen, frontier, skipped = {e.key(): e}, [e], []
+    while frontier:
+        nxt = []
+        for cur in frontier:
+            for k in generators:
+                try:
+                    img = (apply_eps_pi(cur) if k is None
+                           else apply_sigma(cur, k))
+                except ZeroPivot as exc:
+                    skipped.append(SkippedEdge(cur, "sigma:%d" % k, str(exc)))
+                    continue
+                if img.key() not in seen:
+                    seen[img.key()] = img
+                    parity[img.key()] = parity[cur.key()] ^ (k is None)
+                    nxt.append(img)
+        frontier = nxt
+    ordered = tuple(img for _, img in sorted(seen.items()))
+    return OrbitResult(ordered, not skipped, tuple(skipped)), parity
+
+
+def seeded_expansion(rng, n, zero_share, pure=False):
+    """Shifts in -8..8; each b_i is 0 with probability zero_share."""
+    def b():
+        if rng.random() < zero_share:
+            return F(0)
+        return F(rng.choice([-1, 1]) * rng.randint(1, 6), rng.randint(1, 3))
+    b0, block = b(), [b() for _ in range(n)]
+    if pure:
+        block[-1] = b0
+    return Expansion(b0, block, AlphaSequence(rng.sample(range(-8, 9), n)))
+
+
+def zero_trace_expansions(rng, n):
+    """Two expansions over the same shifts with B^2 - AC = prod(x - alpha_i),
+    i.e. half-trace 0.
+
+    The first has B = 0, A = prod(x - alpha_2k) and C = -prod of the other
+    factors; its b_i are all 0.  The second is the alpha-triple of a divisor
+    of g points on mu^2 = prod(lambda - alpha_i), found by search.  Shifts
+    at which its peel is degenerate are drawn again.
+    """
+    g = (n - 1) // 2
+    while True:
+        alpha = AlphaSequence(rng.sample(range(-8, 9), n))
+        r = alpha.vanishing_poly()
+        found = [(lam, rational_sqrt(r(lam))) for lam in
+                 sorted({F(p, q) for q in (1, 2, 3) for p in range(-40, 41)})
+                 if r(lam) != 0]
+        points = [(lam, rng.choice([-1, 1]) * mu)
+                  for lam, mu in found if mu is not None]
+        if len(points) < g:
+            continue
+        j = jacobi_from_divisor(rng.sample(points, g), r)
+        t = alpha_triple_from_jacobi(j, F(rng.randint(-5, 5), rng.randint(1, 3)))
+        b_zero = AlphaTriple(Polynomial.from_roots(alpha.alphas[1::2]),
+                             Polynomial(),
+                             -Polynomial.from_roots(alpha.alphas[::2]))
+        try:
+            return expand(b_zero, alpha)[0], expand(t, alpha)[0]
+        except AlphaFractionError:
+            continue
+
+
+def orbit_corpus(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.choice([1, 3, 3, 5])
+        pure = n >= 3 and rng.random() < 0.3
+        yield seeded_expansion(rng, n, rng.choice([0, 0.2, 0.4, 0.6]), pure), \
+            pure
+
+
+class TestOrbitAgainstValueKeyedBFS:
+    """orbit builds each (shift order, branch) once; the reference builds
+    every image.  Their JSON records must agree byte for byte."""
+
+    @staticmethod
+    def same_record(e, pure=False):
+        got = orbit(e, pure=pure)
+        want, _ = value_keyed_orbit(e, pure=pure)
+        assert canonical_dumps(orbit_to_json(got)) == \
+            canonical_dumps(orbit_to_json(want))
+        return got
+
+    def test_seeded_corpus(self):
+        incomplete = pure_count = 0
+        for e, pure in orbit_corpus(47, 60):
+            got = self.same_record(e, pure)
+            incomplete += not got.complete
+            pure_count += pure
+        assert incomplete >= 10 and pure_count >= 10
+
+    def test_zero_half_trace(self):
+        # Both branches are one expansion, so a complete orbit has N!
+        # elements; past N = 1 the all-zero B = 0 expansions meet zero
+        # pivots.
+        rng = random.Random(53)
+        complete = 0
+        for n in (1, 3, 3, 3, 5, 5, 5, 5):
+            for e in zero_trace_expansions(rng, n):
+                assert expansion_to_triple(e)[1].is_zero()
+                got = self.same_record(e)
+                if got.complete:
+                    assert len(got.expansions) == math.factorial(n)
+                    complete += 1
+        assert complete >= 6
+
+
+class TestOrbitBranch:
+    def test_half_trace_sign_is_eps_pi_parity(self):
+        # Every element is the peel of the start's triple over its own
+        # shift order, at half-trace (-1)^(epspi steps on its path) T_0.
+        rng = random.Random(59)
+        checked = 0
+        for n in (3, 3, 5, 5):
+            e = seeded_expansion(rng, n, 0.2)
+            triple, t0 = expansion_to_triple(e)
+            _, parity = value_keyed_orbit(e)
+            for x in orbit(e).expansions:
+                t = -t0 if parity[x.key()] else t0
+                assert expansion_to_triple(x) == (triple, t)
+                m = build_transfer_matrix(triple, t)
+                assert factorize_transfer_matrix(m, x.alpha) == x
+                checked += 1
+        assert checked > 300
