@@ -59,17 +59,6 @@ class AlphaSequence:
             self._frak = Polynomial.from_roots(self.alphas)
         return self._frak
 
-    def swapped(self, k: int) -> "AlphaSequence":
-        """Swap alpha_k and alpha_{k+1} (1-based k)."""
-        if not 1 <= k <= self.n - 1:
-            raise ValueError("swap index out of range")
-        a = list(self.alphas)
-        a[k - 1], a[k] = a[k], a[k - 1]
-        return AlphaSequence(a)
-
-    def reversed(self) -> "AlphaSequence":
-        return AlphaSequence(self.alphas[::-1])
-
     def __eq__(self, other):
         if not isinstance(other, AlphaSequence):
             return NotImplemented

@@ -110,35 +110,6 @@ def jacobi_from_divisor(points, R: Polynomial) -> JacobiTriple:
     return JacobiTriple(U, V, divmod(R - V * V, U)[0], R)
 
 
-def _primitive(cs):
-    """The integer coefficients cs divided by their content."""
-    c = math.gcd(*cs)
-    return [x // c for x in cs] if c else cs
-
-
-def _integer_gcd(u: Polynomial):
-    """gcd(u, u') as primitive integer coefficients, by a primitive PRS.
-
-    Denominators are cleared once; each pseudo-remainder is then reduced
-    to its primitive part, which keeps the coefficients from growing
-    (Collins, J. ACM 14 (1967); Brown, J. ACM 18 (1971)).
-    """
-    d = math.lcm(*(c.denominator for c in u.coeffs))
-    a = _primitive([int(c * d) for c in u.coeffs])
-    b = _primitive([k * c for k, c in enumerate(a)][1:])
-    while b:
-        r = a
-        while len(r) >= len(b):
-            lead, shift = r[-1], len(r) - len(b)
-            r = [x * b[-1] for x in r]
-            for i, y in enumerate(b):
-                r[i + shift] -= lead * y
-            while r and r[-1] == 0:
-                r.pop()
-        a, b = b, _primitive(r)
-    return a
-
-
 def _rational_roots(u: Polynomial):
     """The distinct rational roots of a monic u, by p-adic lifting.
 
@@ -152,8 +123,10 @@ def _rational_roots(u: Polynomial):
     1 + max|f_i|; it is a root if f vanishes there.  The work is polynomial
     in the degree and the bit-size of u.
     """
-    g = Polynomial(_integer_gcd(u))
-    h = u // (g / g.lead)
+    a, b = u, Polynomial([k * c for k, c in enumerate(u.coeffs)][1:])
+    while b:
+        a, b = b, a % b
+    h = u // (a / a.lead)
     n = h.degree
     D = math.lcm(*(c.denominator for c in h.coeffs))
     f = [int(c * D ** (n - i)) for i, c in enumerate(h.coeffs)]

@@ -13,9 +13,26 @@ import re
 from typing import NamedTuple
 
 from .errors import NotPure, ZeroPivot
-from .expansion import Expansion, expansion_to_triple
+from .expansion import AlphaSequence, Expansion, expansion_to_triple
 
-_ZERO_PIVOT = "sigma_%d undefined: b_%d = 0"
+
+def _permuted(seq: tuple, k) -> tuple:
+    """The shift order after sigma_k (k None: after epspi).
+
+    sigma_k swaps entries k and k+1 (1-based), epspi reverses.  The
+    generators apply it to the alphas and orbit to their ranks.
+    """
+    if k is None:
+        return seq[::-1]
+    return seq[:k - 1] + (seq[k], seq[k - 1]) + seq[k + 1:]
+
+
+def _pivot(e: Expansion, k: int):
+    """b_k, the divisor of sigma_k; ZeroPivot if it is 0."""
+    pivot = e.block[k - 1]
+    if pivot == 0:
+        raise ZeroPivot("sigma_%d undefined: b_%d = 0" % (k, k))
+    return pivot
 
 
 def apply_sigma(e: Expansion, k: int) -> Expansion:
@@ -28,10 +45,7 @@ def apply_sigma(e: Expansion, k: int) -> Expansion:
     n = e.n
     if not 1 <= k <= n - 1:
         raise ValueError("sigma index must satisfy 1 <= k <= N-1")
-    pivot = e.block[k - 1]
-    if pivot == 0:
-        raise ZeroPivot(_ZERO_PIVOT % (k, k))
-    delta = (e.alpha.alphas[k] - e.alpha.alphas[k - 1]) / pivot
+    delta = (e.alpha.alphas[k] - e.alpha.alphas[k - 1]) / _pivot(e, k)
     c = [e.b0] + list(e.block[:-1])
     u = e.bn_star
     c[k - 1] += delta
@@ -39,7 +53,8 @@ def apply_sigma(e: Expansion, k: int) -> Expansion:
         c[k + 1] -= delta
     else:
         u -= delta
-    return Expansion(c[0], tuple(c[1:]) + (u + c[0],), e.alpha.swapped(k))
+    return Expansion(c[0], tuple(c[1:]) + (u + c[0],),
+                     AlphaSequence(_permuted(e.alpha.alphas, k)))
 
 
 def apply_eps_pi(e: Expansion) -> Expansion:
@@ -50,7 +65,8 @@ def apply_eps_pi(e: Expansion) -> Expansion:
     n = e.n
     b_last = e.block[-1]
     block = tuple(-e.block[n - 1 - j] for j in range(1, n)) + (-b_last,)
-    return Expansion(e.b0 - b_last, block, e.alpha.reversed())
+    return Expansion(e.b0 - b_last, block,
+                     AlphaSequence(_permuted(e.alpha.alphas, None)))
 
 
 _SIGMA = re.compile(r"sigma:([1-9][0-9]*)")
@@ -131,15 +147,15 @@ def orbit(e: Expansion, pure: bool = False) -> OrbitResult:
         for order, branch in frontier:
             cur = seen[order, branch]
             for k in generators:
-                if k is None:
-                    key = (order[::-1], branch ^ flip)
-                elif cur.block[k - 1] == 0:
-                    skipped.append(
-                        SkippedEdge(cur, "sigma:%d" % k, _ZERO_PIVOT % (k, k)))
-                    continue
-                else:
-                    key = (order[:k - 1] + (order[k], order[k - 1])
-                           + order[k + 1:], branch)
+                if k is not None:
+                    try:
+                        _pivot(cur, k)
+                    except ZeroPivot as exc:
+                        skipped.append(
+                            SkippedEdge(cur, "sigma:%d" % k, str(exc)))
+                        continue
+                key = (_permuted(order, k),
+                       branch if k is not None else branch ^ flip)
                 if key not in seen:
                     seen[key] = (apply_eps_pi(cur) if k is None
                                  else apply_sigma(cur, k))
