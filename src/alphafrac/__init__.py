@@ -49,7 +49,7 @@ from .jacobi import (
     jacobi_from_divisor,
     pure_beta_candidates,
 )
-from .polyring import Polynomial, PolyMatrix2, poly_sqrt, rational_sqrt
+from .polyring import Polynomial, poly_sqrt, rational_sqrt
 from .symmetry import (
     OrbitResult,
     apply_eps_pi,

@@ -131,26 +131,6 @@ def _cmd_example(payload, args):
     return datasets.example(args.name)
 
 
-_HANDLERS = {
-    "expand": _cmd_expand,
-    "pure-expand": _cmd_pure_expand,
-    "triple": _cmd_triple,
-    "admissible": _cmd_admissible,
-    "act": _cmd_act,
-    "orbit": _cmd_orbit,
-    "jacobi-to-triple": _cmd_jacobi_to_triple,
-    "triple-to-jacobi": _cmd_triple_to_jacobi,
-    "divisor-to-jacobi": _cmd_divisor_to_jacobi,
-    "jacobi-to-divisor": _cmd_jacobi_to_divisor,
-    "pure-beta": _cmd_pure_beta,
-    "verify": _cmd_verify,
-    "residual": _cmd_residual,
-    "example": _cmd_example,
-}
-
-_NO_INPUT = {"example"}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="alphafrac",
@@ -158,45 +138,55 @@ def build_parser() -> argparse.ArgumentParser:
                     "hyperelliptic curves, in exact rational arithmetic.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
+    def add(name, handler, help_text, reads_input=True):
         p = sub.add_parser(name, help=help_text)
-        if name not in _NO_INPUT:
+        p.set_defaults(handler=handler)
+        if reads_input:
             p.add_argument("--input", "-i", default="-",
                            help="JSON input path, or - for stdin")
+        else:
+            p.set_defaults(input=None)
         p.add_argument("--output", "-o", default="-",
                        help="JSON output path, or - for stdout")
         return p
 
-    add("expand", "both periodic expansions of an alpha-triple")
-    add("pure-expand", "the pure-periodic expansion of an alpha-triple")
-    add("triple", "the quadratic triple (A, B, C) and half-trace of an "
-                  "expansion")
-    add("admissible", "decompose R = S^2 + prod(x - alpha_i)")
-    p = add("act", "apply a group word to an expansion")
+    add("expand", _cmd_expand, "both periodic expansions of an alpha-triple")
+    add("pure-expand", _cmd_pure_expand,
+        "the pure-periodic expansion of an alpha-triple")
+    add("triple", _cmd_triple, "the quadratic triple (A, B, C) and "
+                               "half-trace of an expansion")
+    add("admissible", _cmd_admissible, "decompose R = S^2 + prod(x - alpha_i)")
+    p = add("act", _cmd_act, "apply a group word to an expansion")
     p.add_argument("--word", required=True,
                    help='JSON word, e.g. \'["sigma:1","epspi"]\'')
-    p = add("orbit", "symmetry-group orbit of an expansion")
+    p = add("orbit", _cmd_orbit, "symmetry-group orbit of an expansion")
     p.add_argument("--pure", action="store_true",
                    help="restrict to the pure-case subgroup S_{N-1}")
-    add("jacobi-to-triple", "alpha-triple of a Jacobi triple and shift beta")
-    add("triple-to-jacobi", "Jacobi triple and shift beta of an alpha-triple")
-    add("divisor-to-jacobi", "Jacobi triple of an affine divisor")
-    add("jacobi-to-divisor", "divisor points of a Jacobi triple")
-    add("pure-beta", "shifts beta giving C(alpha_N) = 0")
-    add("verify", "recompute and compare an expansion's triple")
-    p = add("residual", "floating-point residual of the quadratic relation")
+    add("jacobi-to-triple", _cmd_jacobi_to_triple,
+        "alpha-triple of a Jacobi triple and shift beta")
+    add("triple-to-jacobi", _cmd_triple_to_jacobi,
+        "Jacobi triple and shift beta of an alpha-triple")
+    add("divisor-to-jacobi", _cmd_divisor_to_jacobi,
+        "Jacobi triple of an affine divisor")
+    add("jacobi-to-divisor", _cmd_jacobi_to_divisor,
+        "divisor points of a Jacobi triple")
+    add("pure-beta", _cmd_pure_beta, "shifts beta giving C(alpha_N) = 0")
+    add("verify", _cmd_verify, "recompute and compare an expansion's triple")
+    p = add("residual", _cmd_residual,
+            "floating-point residual of the quadratic relation")
     p.add_argument("--lambda", dest="lam", required=True,
                    help="rational evaluation point, e.g. 5/2")
     p.add_argument("--branch", choices=["+", "-"], default="+",
                    help="square-root branch")
-    p = add("example", "emit a canned example dataset")
+    p = add("example", _cmd_example, "emit a canned example dataset",
+            reads_input=False)
     p.add_argument("--name", required=True,
                    help="one of: %s" % ", ".join(datasets.EXAMPLE_NAMES))
     return parser
 
 
 def _read_payload(args):
-    if args.command in _NO_INPUT:
+    if args.input is None:
         return None
     if args.input == "-":
         text = sys.stdin.read()
@@ -220,7 +210,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload = _read_payload(args)
-        result = _HANDLERS[args.command](payload, args)
+        result = args.handler(payload, args)
         _write_result(args, result)
     except AlphaFractionError as exc:
         sys.stderr.write(canonical_dumps(

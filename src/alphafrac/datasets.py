@@ -18,9 +18,6 @@ from .polyring import Polynomial
 from .serialize import expansion_to_json, triple_to_json
 from .symmetry import orbit
 
-EXAMPLE_NAMES = ("sect4", "n1-periodic", "n1-pure", "pure-n3")
-
-
 def _sect4():
     # Genus-1 triple with the full 12-element symmetry orbit.
     triple = AlphaTriple(
@@ -88,6 +85,7 @@ _BUILDERS = {
     "n1-pure": _n1_pure,
     "pure-n3": _pure_n3,
 }
+EXAMPLE_NAMES = tuple(_BUILDERS)
 
 
 def example(name: str) -> dict:

@@ -24,7 +24,7 @@ from .errors import (
     PoleAtLambda,
     ResidueNotUnipotent,
 )
-from .polyring import Polynomial, PolyMatrix2, as_fraction, poly_sqrt
+from .polyring import Polynomial, as_fraction, poly_sqrt
 
 
 class AlphaSequence:
@@ -210,35 +210,37 @@ def admissible_decompose(R: Polynomial, alpha: AlphaSequence) -> Polynomial:
     return s
 
 
-def build_transfer_matrix(t: AlphaTriple, T: Polynomial) -> PolyMatrix2:
-    """Assemble [[T-B, -C], [A, T+B]] for the half-trace T.
+def build_transfer_matrix(t: AlphaTriple, T: Polynomial):
+    """The transfer matrix [[T-B, -C], [A, T+B]] for the half-trace T.
 
-    T is not checked here: factorize_transfer_matrix rejects any T with
+    It is returned as the 4-tuple (X, Y, Z, W) = (T-B, -C, A, T+B), which
+    is (P_{N-1}, P_N, Q_{N-1}, Q_N) of the expansion.  T is not checked
+    here: factorize_transfer_matrix rejects any T with
     T^2 + prod(x - alpha_i) != B^2 - AC, as that is a wrong determinant.
     """
-    return PolyMatrix2(T - t.B, -t.C, t.A, T + t.B)
+    return (T - t.B, -t.C, t.A, T + t.B)
 
 
-def factorize_transfer_matrix(m: PolyMatrix2,
-                              alpha: AlphaSequence) -> Expansion:
+def factorize_transfer_matrix(m, alpha: AlphaSequence) -> Expansion:
     """Peel the transfer matrix into elementary factors, recovering b_0..b_N.
 
-    At step k the current matrix [[X, Y], [Z, W]] is evaluated at
-    alpha_{k+1}; the factor coefficient is X/Z there, or Y/W when Z
-    vanishes.  Each peel divides out (x - alpha_{k+1}) exactly; the final
+    m is the 4-tuple (X, Y, Z, W) of build_transfer_matrix, the matrix
+    [[X, Y], [Z, W]].  At step k the factor coefficient is X/Z at
+    alpha_{k+1}, or Y/W when Z and X vanish there; Y and W are evaluated
+    only then.  Each peel divides out (x - alpha_{k+1}) exactly; the final
     residue must be the unipotent [[1, b_N - b_0], [0, 1]].  A successful
     peel thus proves det M = -prod(x - alpha_i); a matrix with any other
     determinant, e.g. one built from a wrong half-trace, raises
     FactorizationDegenerate or ResidueNotUnipotent.
     """
-    X, Y, Z, W = m.a, m.b, m.c, m.d
+    X, Y, Z, W = m
     bs = []
     for k, al in enumerate(alpha.alphas):
-        x, y, z, w = X(al), Y(al), Z(al), W(al)
+        x, z = X(al), Z(al)
         if z != 0:
             b = x / z
-        elif w != 0 and x == 0:
-            b = y / w
+        elif x == 0 and (w := W(al)) != 0:
+            b = Y(al) / w
         else:
             raise FactorizationDegenerate(
                 "null vector has vanishing first component at step %d "

@@ -1,4 +1,4 @@
-"""Exact univariate polynomial and 2x2 polynomial-matrix arithmetic over Q.
+"""Exact univariate polynomial arithmetic over Q.
 
 Coefficients are fractions.Fraction throughout, so every operation here is
 exact.  Values are immutable after construction and safe to share.
@@ -7,16 +7,33 @@ exact.  Values are immutable after construction and safe to share.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
+
+_RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+_BAD_RATIONAL = ("rational must be an integer or a string \"p\" or "
+                 "\"p/q\" in lowest terms, got %.40r")
 
 
 def as_fraction(x) -> Fraction:
-    """Coerce an int, string ("p/q") or Fraction to an exact rational."""
+    """Coerce x to an exact rational by the grammar of the JSON wire format.
+
+    x is a Fraction, an int, or a string "p" or "p/q" in lowest terms with
+    q > 0.  Any other string, e.g. "1.5", "1e400", " 3" or "2/4", raises
+    ValueError, so no exponent is ever expanded; bools, floats and other
+    types raise TypeError.
+    """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
-    raise TypeError("cannot coerce %r to an exact rational" % (x,))
+    if not isinstance(x, str):
+        raise TypeError(_BAD_RATIONAL % (x,))
+    if _RATIONAL.fullmatch(x):
+        value = Fraction(x)
+        if str(value) == x:
+            return value
+    raise ValueError(_BAD_RATIONAL % (x,))
 
 
 def rational_sqrt(x: Fraction):
@@ -118,14 +135,6 @@ class Polynomial:
         scalar = as_fraction(scalar)
         return Polynomial([c / scalar for c in self.coeffs])
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = Polynomial([1])
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __divmod__(self, other):
         """Exact long division by a nonzero polynomial."""
         other = self._coerce(other)
@@ -212,10 +221,6 @@ class Polynomial:
         return " ".join(parts)
 
 
-ZERO = Polynomial()
-ONE = Polynomial([1])
-
-
 def poly_sqrt(p: Polynomial):
     """Exact square root of a polynomial over Q, or None.
 
@@ -223,7 +228,7 @@ def poly_sqrt(p: Polynomial):
     coefficient; sqrt(0) = 0.
     """
     if p.is_zero():
-        return ZERO
+        return p
     deg = p.degree
     if deg % 2 != 0:
         return None
@@ -238,60 +243,9 @@ def poly_sqrt(p: Polynomial):
     for i in range(g - 1, -1, -1):
         acc = p.coeff(g + i)
         for j in range(i + 1, g):
-            k = g + i - j
-            if k <= g:
-                acc -= s[j] * s[k]
+            acc -= s[j] * s[g + i - j]
         s[i] = acc / (2 * lead)
     cand = Polynomial(s)
     if cand * cand != p:
         return None
     return cand
-
-
-class PolyMatrix2:
-    """A 2x2 matrix of polynomials [[a, b], [c, d]]."""
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a, b, c, d):
-        self.a = self._entry(a)
-        self.b = self._entry(b)
-        self.c = self._entry(c)
-        self.d = self._entry(d)
-
-    @staticmethod
-    def _entry(x) -> Polynomial:
-        return x if isinstance(x, Polynomial) else Polynomial([x])
-
-    @classmethod
-    def identity(cls) -> "PolyMatrix2":
-        return cls(ONE, ZERO, ZERO, ONE)
-
-    @property
-    def entries(self):
-        return ((self.a, self.b), (self.c, self.d))
-
-    def __mul__(self, other):
-        if not isinstance(other, PolyMatrix2):
-            return NotImplemented
-        return PolyMatrix2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def det(self) -> Polynomial:
-        return self.a * self.d - self.b * self.c
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyMatrix2):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return "PolyMatrix2([[%s, %s], [%s, %s]])" % (
-            self.a, self.b, self.c, self.d)

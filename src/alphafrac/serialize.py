@@ -10,12 +10,11 @@ golden files can be compared verbatim.
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 
 from .expansion import AlphaSequence, AlphaTriple, Expansion
 from .jacobi import CurvePoint, JacobiTriple
-from .polyring import Polynomial
+from .polyring import Polynomial, as_fraction
 from .symmetry import OrbitResult
 
 
@@ -23,23 +22,16 @@ def frac_to_str(x: Fraction) -> str:
     return str(x)
 
 
-_RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
-
-
 def frac_from_json(data) -> Fraction:
     """A JSON integer, or a string "p" or "p/q" in lowest terms with q > 0.
 
-    Anything else, including true/false, "1.5", "1e400" and "2/4", raises
-    ValueError; no exponent is ever expanded.
+    The grammar is polyring.as_fraction's; anything else, including
+    true/false, "1.5", "1e400" and "2/4", raises ValueError.
     """
-    if isinstance(data, int) and not isinstance(data, bool):
-        return Fraction(data)
-    if isinstance(data, str) and _RATIONAL.fullmatch(data):
-        value = Fraction(data)
-        if str(value) == data:
-            return value
-    raise ValueError("rational must be an integer or a string \"p\" or "
-                     "\"p/q\" in lowest terms, got %.40r" % (data,))
+    try:
+        return as_fraction(data)
+    except TypeError as exc:
+        raise ValueError(*exc.args) from None
 
 
 def poly_to_json(p: Polynomial):

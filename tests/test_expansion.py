@@ -24,7 +24,7 @@ from alphafrac import (
     pure_expand,
     verify_expansion,
 )
-from alphafrac.polyring import Polynomial, PolyMatrix2
+from alphafrac.polyring import Polynomial
 
 from conftest import random_expansion, random_rational
 
@@ -35,6 +35,11 @@ def P(*coeffs):
 
 def F(*args):
     return Fraction(*args)
+
+
+def det(m):
+    X, Y, Z, W = m
+    return X * W - Y * Z
 
 
 def perturbed(rng, p):
@@ -154,14 +159,14 @@ class TestAdmissibleDecompose:
 class TestTransferMatrix:
     def test_sect4_matrix(self, sect4_triple, sect4_alpha):
         m = build_transfer_matrix(sect4_triple, P("-7/2", "1/2"))
-        assert m == PolyMatrix2(P("-7", "2"), P("2", "-4", "1"),
-                                P("-6", "1"), P("0", "-1"))
-        assert m.det() == -sect4_alpha.vanishing_poly()
+        assert m == (P("-7", "2"), P("2", "-4", "1"),
+                     P("-6", "1"), P("0", "-1"))
+        assert det(m) == -sect4_alpha.vanishing_poly()
 
     def test_negated_trace_entry(self, sect4_triple):
         m = build_transfer_matrix(sect4_triple, P("7/2", "-1/2"))
         # top-left = -S - B = x
-        assert m.a == P("0", "1")
+        assert m[0] == P("0", "1")
 
     def test_mismatched_trace(self, sect4_triple, sect4_alpha):
         # T^2 + prod(x - alpha_i) != B^2 - AC for T = 1; the peel rejects it.
@@ -205,20 +210,56 @@ class TestFactorize:
                 e = random_expansion(rng, n)
                 triple, half_trace = expansion_to_triple(e)
                 m = build_transfer_matrix(triple, half_trace)
-                entries = [m.a, m.b, m.c, m.d]
+                entries = list(m)
                 i = rng.randrange(4)
                 entries[i] = perturbed(rng, entries[i])
                 wrong_t = build_transfer_matrix(
                     triple, perturbed(rng, half_trace))
-                for kind, m in (("entry", PolyMatrix2(*entries)),
+                for kind, m in (("entry", tuple(entries)),
                                 ("trace", wrong_t)):
-                    if m.det() == -e.alpha.vanishing_poly():
+                    if det(m) == -e.alpha.vanishing_poly():
                         continue
                     wrong[kind] += 1
                     with pytest.raises((FactorizationDegenerate,
                                         ResidueNotUnipotent)):
                         factorize_transfer_matrix(m, e.alpha)
         assert min(wrong.values()) >= 200
+
+
+class TestPeelZeroPivot:
+    """Step 0 with Z(alpha_1) = 0: b_0 = Y/W there if X vanishes too,
+    otherwise the peel stops with a null-vector error."""
+
+    # For N = 3, Z = A = Q_2 = x - alpha_2 + b_1 b_2, so b_1 b_2 = 2 puts
+    # the root of Z at alpha_1 = 1 on both branches.
+    E = make_expansion(5, [1, 2, 7], [1, 3, 4])
+    PLUS = (P("-7", "7"), P("-30", "14", "1"), P("-1", "1"), P("-6", "3"))
+    MINUS = (P("6", "-3"), P("-30", "14", "1"), P("-1", "1"), P("7", "-7"))
+
+    def test_both_branches(self):
+        triple, half_trace = expansion_to_triple(self.E)
+        assert build_transfer_matrix(triple, half_trace) == self.PLUS
+        assert build_transfer_matrix(triple, -half_trace) == self.MINUS
+
+    def test_y_over_w(self):
+        # X(1) = Z(1) = 0, so b_0 = Y(1)/W(1) = -15/-3
+        assert factorize_transfer_matrix(self.PLUS, self.E.alpha) == self.E
+
+    @pytest.mark.parametrize("m, alphas, lam", [
+        # the conjugate branch: X(1) = 3
+        (MINUS, [1, 3, 4], "1"),
+        # X(1/2) = 1
+        ((P("1"), P(), P("-1/2", "1"), P("1")), [F(1, 2), 3, 4], "1/2"),
+        # X(1/2) = W(1/2) = 0
+        ((P("-1/2", "1"), P("1"), P("-1/2", "1"), P("-1/2", "1")),
+         [F(1, 2), 3, 4], "1/2"),
+    ])
+    def test_null_vector(self, m, alphas, lam):
+        with pytest.raises(FactorizationDegenerate) as info:
+            factorize_transfer_matrix(m, AlphaSequence(alphas))
+        assert str(info.value) == (
+            "null vector has vanishing first component at step 0 "
+            "(lambda = %s)" % lam)
 
 
 class TestExpand:
@@ -342,7 +383,7 @@ class TestRoundTrip:
                 e = random_expansion(rng, n)
                 triple, half_trace = expansion_to_triple(e)
                 m = build_transfer_matrix(triple, half_trace)
-                assert m.det() == -e.alpha.vanishing_poly()
+                assert det(m) == -e.alpha.vanishing_poly()
                 assert factorize_transfer_matrix(m, e.alpha) == e
 
     def test_pure_preservation(self):

@@ -42,9 +42,10 @@ class TestJacobiTriple:
                          R_SECT4 + 1)
 
     def test_degree_enforced(self):
+        x = P("0", "1")
         with pytest.raises(ValueError):
-            JacobiTriple(P("-6", "1"), P("0", "1"), P("5", "-7/4", "1"),
-                         P("0", "1") ** 2 + P("-6", "1") * P("5", "-7/4", "1"))
+            JacobiTriple(P("-6", "1"), x, P("5", "-7/4", "1"),
+                         x * x + P("-6", "1") * P("5", "-7/4", "1"))
 
 
 class TestFromDivisor:

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from alphafrac import AlphaSequence, Expansion
 from alphafrac.polyring import (
     Polynomial,
-    PolyMatrix2,
+    as_fraction,
     poly_sqrt,
     rational_sqrt,
 )
@@ -108,35 +109,6 @@ class TestSqrt:
                 assert got.lead > 0
 
 
-class TestMatrix:
-    def test_det_transfer_matrix(self):
-        # det [[2x-7, x^2-4x+2], [x-6, -x]] = -(x-1)(x-3)(x-4)
-        m = PolyMatrix2(P("-7", "2"), P("2", "-4", "1"),
-                        P("-6", "1"), P("0", "-1"))
-        assert m.det() == -Polynomial.from_roots([1, 3, 4])
-
-    def test_det_identity(self):
-        assert PolyMatrix2.identity().det() == 1
-
-    def test_elementary_product(self):
-        b0, u = Fraction(5), Fraction(-2)
-        left = PolyMatrix2(P(b0), P("-1", "1"), P("1"), Polynomial())
-        right = PolyMatrix2(P("1"), P(u), Polynomial(), P("1"))
-        prod = left * right
-        assert prod == PolyMatrix2(
-            P(b0), b0 * P(u) + P("-1", "1"), P("1"), P(u))
-
-    def test_det_multiplicative(self):
-        rng = random.Random(11)
-        for _ in range(40):
-            ms = [
-                PolyMatrix2(*(random_polynomial(rng, rng.randint(0, 2))
-                              for _ in range(4)))
-                for _ in range(2)
-            ]
-            assert (ms[0] * ms[1]).det() == ms[0].det() * ms[1].det()
-
-
 class TestProperties:
     def test_degree_of_product(self):
         rng = random.Random(3)
@@ -167,3 +139,39 @@ class TestProperties:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             Polynomial([0.5])
+
+
+class TestRationalGrammar:
+    """Library constructors take the rationals of the wire grammar only."""
+
+    @pytest.mark.parametrize("x, value", [
+        ("5/2", Fraction(5, 2)), ("-3", Fraction(-3)), ("0", Fraction(0)),
+        (7, Fraction(7)), (Fraction(-4, 6), Fraction(-2, 3)),
+    ])
+    def test_accepted(self, x, value):
+        assert as_fraction(x) == value
+        assert Polynomial([x, 1]).coeffs == (value, 1)
+
+    @pytest.mark.parametrize("x", [
+        "1.5", "1e400", "1e1000000", "1/0", "2/4", "3/1", "-0", "007",
+        "1/-2", " 3", "3 ", "+1", "1_0", "", "\u0663",
+    ])
+    def test_bad_string_is_value_error(self, x):
+        with pytest.raises(ValueError, match="lowest terms, got "):
+            Polynomial([x])
+        with pytest.raises(ValueError):
+            AlphaSequence([x])
+        with pytest.raises(ValueError):
+            Expansion(x, [1], AlphaSequence([0]))
+
+    @pytest.mark.parametrize("x", [True, False, None, 0.5, [1]])
+    def test_bool_and_float_are_type_errors(self, x):
+        with pytest.raises(TypeError):
+            Polynomial([x])
+        with pytest.raises(TypeError):
+            AlphaSequence([x])
+
+    def test_value_quoted_to_40_characters(self):
+        with pytest.raises(ValueError) as info:
+            as_fraction("9" * 100 + ".5")
+        assert str(info.value).endswith("got '" + "9" * 39)

@@ -17,3 +17,31 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_traced_names_resolve():
+    # The benchmark's tracer wraps alphafrac names from outside and skips
+    # any it cannot find, so a rename would silently drop a span.  It also
+    # rebinds module-level functions by identity, so a traced function
+    # that is an alias of another would trace every call of both.
+    import importlib
+    import importlib.util
+
+    path = SRC.parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    entries = list(tracing.SPANS) + list(tracing.COUNTS)
+    assert len(entries) >= 51
+    missing, aliased = [], []
+    for module, attr, _ in entries:
+        mod = importlib.import_module("alphafrac." + module)
+        owner, _, name = attr.rpartition(".")
+        holder = getattr(mod, owner) if owner else mod
+        obj = getattr(holder, name, None)
+        if obj is None:
+            missing.append("%s.%s" % (module, attr))
+        elif not owner and (obj.__module__, obj.__name__) != (
+                mod.__name__, name):
+            aliased.append("%s.%s" % (module, attr))
+    assert missing == [] and aliased == []
