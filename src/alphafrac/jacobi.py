@@ -149,10 +149,13 @@ def _rational_roots(u: Polynomial):
     bound = 1 + max(map(abs, f[:-1]), default=0)
     roots = []
     for y in mod_p:
-        m = p
+        # inv is 1/f'(y) mod m, which is all a step to m^2 needs as
+        # f(y) = 0 mod m; it is lifted along with y by inv(2 - f'(y) inv).
+        m, inv = p, pow(horner(df, y), -1, p)
         while m <= 2 * bound:
             m *= m
-            y = (y - horner(f, y) * pow(horner(df, y), -1, m)) % m
+            y = (y - horner(f, y) * inv) % m
+            inv = inv * (2 - horner(df, y) * inv) % m
         if y > m // 2:
             y -= m
         if horner(f, y) == 0:

@@ -1,6 +1,7 @@
 """Exact univariate polynomial arithmetic over Q.
 
-Coefficients are fractions.Fraction throughout, so every operation here is
+A polynomial is integer numerators over one common denominator, and its
+coefficients are read as fractions.Fraction, so every operation here is
 exact.  Values are immutable after construction and safe to share.
 """
 
@@ -50,25 +51,95 @@ def rational_sqrt(x: Fraction):
     return Fraction(rn, rd)
 
 
+def _stripped(num, den):
+    """(num, den) as a lowest-terms pair, given gcd(den, *num) = 1.
+
+    Trailing zeros go; the zero polynomial gets den = 1.
+    """
+    while num and not num[-1]:
+        num.pop()
+    return tuple(num), (den if num else 1)
+
+
+def _make(num, den):
+    """The polynomial num / den, for a list num and den > 0 with
+    gcd(den, *num) = 1."""
+    p = object.__new__(Polynomial)
+    p._num, p._den = _stripped(num, den)
+    return p
+
+
+def _reduced(num, den, g):
+    """_make(num, den) once a common factor of the list num and g | den is
+    divided out, in place.
+
+    g must hold every prime that can divide both den and the content of
+    num; the gcd stops as soon as it reaches 1.
+    """
+    g = math.gcd(g, *num)
+    if g > 1:
+        for i, c in enumerate(num):
+            num[i] = c // g
+        den //= g
+    return _make(num, den)
+
+
+def _add(u, du, v, dv, sign):
+    """u/du + sign * v/dv for lowest-terms numerators u, v and sign +-1.
+
+    With g = gcd(du, dv), the sum is (u dv/g +- v du/g) / (du dv/g), and
+    only primes of g can divide both its denominator and its content.
+    """
+    g = math.gcd(du, dv)
+    s, t = du // g, dv // g
+    den = s * dv
+    num = [a * t for a in u] if t > 1 else list(u)
+    num += [0] * (len(v) - len(u))
+    s *= sign
+    for i, b in enumerate(v):
+        num[i] += b * s
+    return _reduced(num, den, g)
+
+
+def _scalar(x):
+    """(numerator, denominator) of a scalar, by as_fraction's type rule
+    (an int that is not a bool, or a Fraction)."""
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x, 1
+    raise TypeError("cannot combine polynomial with %r" % (x,))
+
+
 class Polynomial:
     """Dense univariate polynomial; coeffs[i] is the degree-i coefficient.
 
-    Trailing zero coefficients are stripped on construction, so the zero
-    polynomial has an empty coefficient tuple and degree -1.
+    It is stored as integer numerators _num over one denominator _den > 0,
+    in lowest terms: gcd(_den, *_num) = 1 and the last numerator is not 0.
+    The zero polynomial has no numerators and degree -1.  Equal polynomials
+    thus have equal representations.  coeffs, coeff(k) and lead build their
+    Fractions when read.
+
+    Each operation cancels the way Henrici's rational arithmetic does
+    (J. ACM 3 (1956)): gcds of the operands' denominators and contents are
+    taken before the multiplications, so the result needs at most one gcd
+    against a known factor to be in lowest terms.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs=()):
         cs = [as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        # The lcm of reduced denominators is coprime to the numerators.
+        den = math.lcm(*[c.denominator for c in cs])
+        self._num, self._den = _stripped(
+            [c.numerator * (den // c.denominator) for c in cs], den)
 
     @classmethod
     def linear(cls, alpha) -> "Polynomial":
         """The monic linear factor (x - alpha)."""
-        return cls([-as_fraction(alpha), Fraction(1)])
+        alpha = as_fraction(alpha)
+        return _make([-alpha.numerator, alpha.denominator], alpha.denominator)
 
     @classmethod
     def from_roots(cls, roots) -> "Polynomial":
@@ -78,81 +149,129 @@ class Polynomial:
         return p
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Fractions, lowest degree first."""
+        d = self._den
+        # From a list: tuple() of a generator allocates ten slots and then
+        # resizes, which moves the block to another size's free list.
+        return tuple([Fraction(c, d) for c in self._num])
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     @property
     def lead(self) -> Fraction:
         """Leading coefficient; 0 for the zero polynomial."""
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return self.coeff(len(self._num) - 1)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._num)
 
     def coeff(self, k: int) -> Fraction:
         """Coefficient of x**k (0 beyond the degree)."""
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self._num):
+            return Fraction(self._num[k], self._den)
         return Fraction(0)
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
         other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            [self.coeff(i) + other.coeff(i) for i in range(n)])
+        return _add(self._num, self._den, other._num, other._den, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial([-c for c in self.coeffs])
+        return _make([-c for c in self._num], self._den)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        return _add(self._num, self._den, other._num, other._den, -1)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Polynomial([c * other for c in self.coeffs])
-        other = self._coerce(other)
-        if not self.coeffs or not other.coeffs:
+        if not isinstance(other, Polynomial):
+            return self._scaled(*_scalar(other))
+        u, du, v, dv = self._num, self._den, other._num, other._den
+        if not u or not v:
             return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
+        # Cancel each denominator against the other factor's content; by
+        # Gauss's lemma the product is then in lowest terms.
+        g = math.gcd(du, *v)
+        if g > 1:
+            v, du = [c // g for c in v], du // g
+        g = math.gcd(dv, *u)
+        if g > 1:
+            u, dv = [c // g for c in u], dv // g
+        out = [0] * (len(u) + len(v) - 1)
+        for i, a in enumerate(u):
+            if a:
+                for j, b in enumerate(v):
+                    out[i + j] += a * b
+        return _make(out, du * dv)
 
     __rmul__ = __mul__
 
+    def _scaled(self, p, q):
+        """self * p / q, for p / q in lowest terms with q > 0."""
+        u, du = self._num, self._den
+        if not p or not u:
+            return Polynomial()
+        g = math.gcd(p, du)
+        if g > 1:
+            p, du = p // g, du // g
+        g = math.gcd(q, *u)
+        if g > 1:
+            return _make([c // g * p for c in u], du * (q // g))
+        return _make([c * p for c in u], du * q)
+
     def __truediv__(self, scalar):
         scalar = as_fraction(scalar)
-        return Polynomial([c / scalar for c in self.coeffs])
+        p, q = scalar.numerator, scalar.denominator
+        if not p and self._num:
+            raise ZeroDivisionError("polynomial division by zero")
+        return self._scaled(q, p) if p >= 0 else self._scaled(-q, -p)
 
     def __divmod__(self, other):
-        """Exact long division by a nonzero polynomial."""
+        """Exact long division by a nonzero polynomial.
+
+        Integer pseudo-division, lc^(k+1) u = Q v + R for v of leading
+        numerator lc and k = deg u - deg v, then one reduction of each part.
+        """
         other = self._coerce(other)
-        if not other.coeffs:
+        v, dv = other._num, other._den
+        if not v:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        u, du = self._num, self._den
+        n, dq = len(v) - 1, len(u) - len(v)
         if dq < 0:
             return Polynomial(), self
-        quot = [Fraction(0)] * (dq + 1)
-        lead = other.coeffs[-1]
+        lc = v[-1]
+        rem = list(u)
+        quot = [0] * (dq + 1)
         for k in range(dq, -1, -1):
-            c = rem[k + len(other.coeffs) - 1] / lead
-            quot[k] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
-        return Polynomial(quot), Polynomial(rem)
+            c = quot[k] = rem.pop()
+            if lc != 1:
+                rem = [lc * r for r in rem]
+            for j in range(n):
+                rem[k + j] -= c * v[j]
+        # Each later step scaled the quotient so far by lc once more.
+        scale = 1
+        for k in range(1, dq + 1):
+            scale *= lc
+            quot[k] *= scale
+        den = scale * lc * du
+        if den < 0:
+            den, dv = -den, -dv
+            rem = [-r for r in rem]
+        return (_reduced([c * dv for c in quot], den, den),
+                _reduced(rem, den, den))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -163,50 +282,67 @@ class Polynomial:
     def synthetic_div(self, alpha):
         """Divide by (x - alpha); returns (quotient, remainder scalar)."""
         alpha = as_fraction(alpha)
-        if not self.coeffs:
+        if not self._num:
             return Polynomial(), Fraction(0)
-        acc = Fraction(0)
-        out = []
-        for c in reversed(self.coeffs):
-            acc = acc * alpha + c
+        # Homogeneous Horner at alpha = r/s: out[j] is s^j du times the
+        # quotient's coefficient of x^(n-1-j), and out[n] is s^n du times
+        # the remainder.
+        r, s = alpha.numerator, alpha.denominator
+        acc, sk, out = 0, 1, []
+        for c in reversed(self._num):
+            acc = acc * r + c * sk
             out.append(acc)
+            sk *= s
+        sk //= s
+        rem = Fraction(out.pop(), self._den * sk)
         out.reverse()
-        return Polynomial(out[1:]), out[0]
+        if s > 1:
+            sk = 1
+            for k in range(1, len(out)):
+                sk *= s
+                out[k] *= sk
+        den = self._den * sk
+        return _reduced(out, den, den), rem
 
     def __call__(self, x) -> Fraction:
         """Exact Horner evaluation at a rational point."""
         x = as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        if not self._num:
+            return Fraction(0)
+        # Homogeneous Horner at x = r/s: acc = s^n du p(x).
+        r, s = x.numerator, x.denominator
+        acc, sk = 0, 1
+        for c in reversed(self._num):
+            acc = acc * r + c * sk
+            sk *= s
+        return Fraction(acc, self._den * sk // s)
 
     def _coerce(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
             return other
-        if isinstance(other, (int, Fraction)):
-            return Polynomial([other])
-        raise TypeError("cannot combine polynomial with %r" % (other,))
+        p, q = _scalar(other)
+        return _make([p], q)
 
     def __eq__(self, other):
         try:
             other = self._coerce(other)
         except TypeError:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self._num, self._den))
 
     def __repr__(self):
         return "Polynomial(%s)" % (list(map(str, self.coeffs)),)
 
     def __str__(self):
-        if not self.coeffs:
+        if not self._num:
             return "0"
+        coeffs = self.coeffs
         parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
+        for k in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[k]
             if c == 0:
                 continue
             if k == 0:
@@ -232,20 +368,29 @@ def poly_sqrt(p: Polynomial):
     deg = p.degree
     if deg % 2 != 0:
         return None
-    lead = rational_sqrt(p.lead)
-    if lead is None:
+    # sqrt(u / du) = sqrt(u du) / du, and a square root over Q of the
+    # integer polynomial w = u du has integer coefficients (Gauss's lemma),
+    # so an inexact division below means there is none.
+    du = p._den
+    w = [c * du for c in p._num]
+    lead = math.isqrt(w[-1]) if w[-1] > 0 else 0
+    if not lead or lead * lead != w[-1]:
         return None
     g = deg // 2
-    s = [Fraction(0)] * (g + 1)
+    s = [0] * (g + 1)
     s[g] = lead
-    # Match coefficients of x^(g+i) downward; low-order ones are checked
-    # by the final exact verification.
+    # Match coefficients of x^(g+i) downward, then check those below x^g.
     for i in range(g - 1, -1, -1):
-        acc = p.coeff(g + i)
+        acc = w[g + i]
         for j in range(i + 1, g):
             acc -= s[j] * s[g + i - j]
-        s[i] = acc / (2 * lead)
-    cand = Polynomial(s)
-    if cand * cand != p:
-        return None
-    return cand
+        s[i], r = divmod(acc, 2 * lead)
+        if r:
+            return None
+    for k in range(g):
+        acc = -w[k]
+        for j in range(k + 1):
+            acc += s[j] * s[k - j]
+        if acc:
+            return None
+    return _reduced(s, du, du)

@@ -164,12 +164,20 @@ class TestRationalGrammar:
         with pytest.raises(ValueError):
             Expansion(x, [1], AlphaSequence([0]))
 
-    @pytest.mark.parametrize("x", [True, False, None, 0.5, [1]])
+    @pytest.mark.parametrize("x", [True, False, None, 0.5, [1], 1.5])
     def test_bool_and_float_are_type_errors(self, x):
         with pytest.raises(TypeError):
             Polynomial([x])
         with pytest.raises(TypeError):
             AlphaSequence([x])
+        # A scalar operand follows the same rule as a coefficient.
+        p = Polynomial(["1", "2"])
+        with pytest.raises(TypeError):
+            p * x
+        with pytest.raises(TypeError):
+            x * p
+        with pytest.raises(TypeError):
+            p + x
 
     def test_value_quoted_to_40_characters(self):
         with pytest.raises(ValueError) as info:
