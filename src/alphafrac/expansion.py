@@ -41,6 +41,19 @@ class AlphaSequence:
         self.alphas = a
         self._frak = None
 
+    @classmethod
+    def _from_checked(cls, alphas: tuple) -> "AlphaSequence":
+        """The sequence of alphas, taken without coercion or checks.
+
+        Precondition: alphas is a tuple of pairwise-distinct Fractions of
+        odd length, e.g. a permutation of a validated sequence's alphas.
+        Only the group generators in symmetry build sequences this way.
+        """
+        self = object.__new__(cls)
+        self.alphas = alphas
+        self._frak = None
+        return self
+
     @property
     def n(self) -> int:
         return len(self.alphas)
@@ -82,6 +95,19 @@ class Expansion:
         self.alpha = alpha
         if len(self.block) != alpha.n:
             raise ValueError("block length must equal the period N")
+
+    @classmethod
+    def _from_checked(cls, b0: Fraction, block: tuple,
+                      alpha: AlphaSequence) -> "Expansion":
+        """The expansion (b0, block, alpha), taken without coercion or checks.
+
+        Precondition: b0 is a Fraction and block a tuple of Fractions of
+        length alpha.n.  Only the group generators in symmetry build
+        expansions this way.
+        """
+        self = object.__new__(cls)
+        self.b0, self.block, self.alpha = b0, block, alpha
+        return self
 
     @property
     def n(self) -> int:

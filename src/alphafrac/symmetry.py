@@ -40,21 +40,31 @@ def apply_sigma(e: Expansion, k: int) -> Expansion:
 
     The update lives in the coordinates (b_0, ..., b_{N-1}, u = b_N - b_0):
     for k <= N-2 it touches b_{k-1} and b_{k+1}, for k = N-1 it touches
-    b_{N-2} and u.  The displayed b_N is u + b_0 afterwards.
+    b_{N-2} and u.  The displayed b_N is u + b_0 afterwards, so it moves
+    by +delta when k = 1 (as b_0 does) and by -delta when k = N-1.
     """
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise TypeError("sigma index must be an int, not %s"
+                        % type(k).__name__)
     n = e.n
     if not 1 <= k <= n - 1:
         raise ValueError("sigma index must satisfy 1 <= k <= N-1")
-    delta = (e.alpha.alphas[k] - e.alpha.alphas[k - 1]) / _pivot(e, k)
-    c = [e.b0] + list(e.block[:-1])
-    u = e.bn_star
-    c[k - 1] += delta
-    if k <= n - 2:
-        c[k + 1] -= delta
+    alphas = e.alpha.alphas
+    delta = (alphas[k] - alphas[k - 1]) / _pivot(e, k)
+    b0, block = e.b0, list(e.block)
+    if k == 1:
+        b0 += delta
+        block[-1] += delta
     else:
-        u -= delta
-    return Expansion(c[0], tuple(c[1:]) + (u + c[0],),
-                     AlphaSequence(_permuted(e.alpha.alphas, k)))
+        block[k - 2] += delta
+    if k <= n - 2:
+        block[k] -= delta
+    else:
+        block[-1] -= delta
+    # Images of a validated expansion: Fractions throughout, and the
+    # shifts are a permutation of distinct ones, so nothing is re-checked.
+    return Expansion._from_checked(
+        b0, tuple(block), AlphaSequence._from_checked(_permuted(alphas, k)))
 
 
 def apply_eps_pi(e: Expansion) -> Expansion:
@@ -62,11 +72,11 @@ def apply_eps_pi(e: Expansion) -> Expansion:
 
     b~_j = -b_{N-j} for 1 <= j <= N-1, b~_0 = b_0 - b_N, b~_N = -b_N.
     """
-    n = e.n
     b_last = e.block[-1]
-    block = tuple(-e.block[n - 1 - j] for j in range(1, n)) + (-b_last,)
-    return Expansion(e.b0 - b_last, block,
-                     AlphaSequence(_permuted(e.alpha.alphas, None)))
+    block = tuple(-b for b in e.block[-2::-1]) + (-b_last,)
+    return Expansion._from_checked(
+        e.b0 - b_last, block,
+        AlphaSequence._from_checked(_permuted(e.alpha.alphas, None)))
 
 
 _SIGMA = re.compile(r"sigma:([1-9][0-9]*)")

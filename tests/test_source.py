@@ -40,6 +40,24 @@ def test_src_imports_stdlib_only():
     assert found == []
 
 
+def test_unchecked_constructors_stay_in_symmetry():
+    # AlphaSequence._from_checked and Expansion._from_checked skip
+    # validation, which is sound only for the group generators' images;
+    # every other module takes outside input through the checking __init__.
+    allowed = {"expansion.py", "symmetry.py"}
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in paths if path.name not in allowed
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Attribute) and node.attr == "_from_checked")
+        or (isinstance(node, ast.Name) and node.id == "_from_checked")
+        or (isinstance(node, ast.Constant) and node.value == "_from_checked")
+    ]
+    assert found == []
+
+
 def test_traced_names_resolve():
     # The benchmark's tracer wraps alphafrac names from outside and skips
     # any it cannot find, so a rename would silently drop a span.  It also

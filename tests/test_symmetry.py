@@ -9,6 +9,7 @@ from alphafrac import (
     AlphaSequence,
     AlphaTriple,
     Expansion,
+    FactorizationDegenerate,
     NotPure,
     OrbitResult,
     ZeroPivot,
@@ -69,6 +70,13 @@ class TestSigma:
             apply_sigma(SECT4, 3)
         with pytest.raises(ValueError):
             apply_sigma(SECT4, 0)
+
+    def test_index_type(self):
+        # as_fraction's type rule: an int that is not a bool.  True would
+        # otherwise be taken as sigma_1 and 1.5 fail as a tuple index.
+        for k in (True, False, 1.5, 1.0, F(1), "1", None):
+            with pytest.raises(TypeError, match="sigma index must be an int"):
+                apply_sigma(SECT4, k)
 
 
 class TestEpsPi:
@@ -372,3 +380,105 @@ class TestOrbitBranch:
                 assert factorize_transfer_matrix(m, x.alpha) == x
                 checked += 1
         assert checked > 300
+
+
+def reference_sigma(e, k):
+    """sigma_k as the update of (b_0, ..., b_{N-1}, u = b_N - b_0), built
+    through the public, validating constructors."""
+    n = e.n
+    alphas = list(e.alpha.alphas)
+    delta = (alphas[k] - alphas[k - 1]) / e.block[k - 1]
+    c = [e.b0] + list(e.block[:-1])
+    u = e.block[-1] - e.b0
+    c[k - 1] += delta
+    if k <= n - 2:
+        c[k + 1] -= delta
+    else:
+        u -= delta
+    alphas[k - 1], alphas[k] = alphas[k], alphas[k - 1]
+    return Expansion(c[0], c[1:] + [u + c[0]], AlphaSequence(alphas))
+
+
+def reference_eps_pi(e):
+    """epspi by its defining formulas, through the public constructors."""
+    n = e.n
+    b_last = e.block[-1]
+    block = [-e.block[n - 1 - j] for j in range(1, n)] + [-b_last]
+    return Expansion(e.b0 - b_last, block,
+                     AlphaSequence(list(reversed(e.alpha.alphas))))
+
+
+def corpus_orbits():
+    """Orbits of the seeded corpus and of half-trace-0 expansions: zero
+    pivots, pure mode and coinciding branches all occur."""
+    for e, pure in orbit_corpus(47, 60):
+        yield orbit(e, pure=pure)
+    rng = random.Random(53)
+    for n in (1, 3, 3, 5):
+        for e in zero_trace_expansions(rng, n):
+            yield orbit(e)
+
+
+class TestGeneratorsAgainstReference:
+    def test_images_match_reference(self):
+        cases = set()
+        for e, _ in orbit_corpus(47, 60):
+            for x in orbit(e).expansions:
+                assert apply_eps_pi(x) == reference_eps_pi(x)
+                for k in range(1, x.n):
+                    if x.block[k - 1] == 0:
+                        with pytest.raises(ZeroPivot):
+                            apply_sigma(x, k)
+                        cases.add((x.n, "zero"))
+                        continue
+                    assert apply_sigma(x, k) == reference_sigma(x, k)
+                    cases.add((x.n, k))
+        # k = 1 and k = N - 1, the two b_N special cases, at N = 3 and 5
+        assert {(3, 1), (3, 2), (5, 1), (5, 4), (3, "zero"),
+                (5, "zero")} <= cases
+
+    def test_images_equal_validated_rebuild(self):
+        # The generators skip re-validation; every image must still be
+        # what the public constructors would build, all Fractions.
+        elements = 0
+        for result in corpus_orbits():
+            for x in result.expansions:
+                rebuilt = Expansion(x.b0, x.block,
+                                    AlphaSequence(x.alpha.alphas))
+                assert x == rebuilt
+                assert type(x.block) is tuple
+                assert type(x.alpha.alphas) is tuple
+                values = (x.b0,) + x.block + x.alpha.alphas
+                assert all(type(v) is Fraction for v in values)
+                elements += 1
+        assert elements >= 2500
+
+
+class TestGroupAgainstPeel:
+    def test_eps_pi_then_sorting_word_gives_conjugate(self):
+        # epspi reverses the shifts and flips the branch; sigma steps that
+        # sort them back keep the branch.  The result is the other peel of
+        # the same triple over the original shifts.
+        rng = random.Random(67)
+        checked = 0
+        for _ in range(60):
+            n = rng.choice([1, 3, 5, 7])
+            e = seeded_expansion(rng, n, 0)
+            try:
+                plus, minus = expand(expansion_to_triple(e)[0], e.alpha)
+            except FactorizationDegenerate:
+                continue
+            assert e in (plus, minus)
+            rank = {a: i for i, a in enumerate(e.alpha.alphas)}
+            x = apply_eps_pi(e)
+            order = [rank[a] for a in x.alpha.alphas]
+            try:
+                while order != sorted(order):
+                    k = next(i for i in range(1, n) if order[i - 1] > order[i])
+                    x = apply_sigma(x, k)
+                    order[k - 1], order[k] = order[k], order[k - 1]
+            except ZeroPivot:
+                continue
+            assert x == (minus if e == plus else plus)
+            checked += 1
+        assert checked >= 50
