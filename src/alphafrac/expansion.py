@@ -24,7 +24,7 @@ from .errors import (
     PoleAtLambda,
     ResidueNotUnipotent,
 )
-from .polyring import Polynomial, as_fraction, poly_sqrt
+from .polyring import Polynomial, as_fraction, not_text, poly_sqrt
 
 
 class AlphaSequence:
@@ -33,7 +33,7 @@ class AlphaSequence:
     __slots__ = ("alphas", "_frak")
 
     def __init__(self, alphas):
-        a = tuple(as_fraction(x) for x in alphas)
+        a = tuple(as_fraction(x) for x in not_text(alphas))
         if not a or len(a) % 2 == 0:
             raise ValueError("period must be odd: N = 2g + 1, N >= 1")
         if len(set(a)) != len(a):
@@ -91,7 +91,7 @@ class Expansion:
 
     def __init__(self, b0, block, alpha: AlphaSequence):
         self.b0 = as_fraction(b0)
-        self.block = tuple(as_fraction(b) for b in block)
+        self.block = tuple(as_fraction(b) for b in not_text(block))
         self.alpha = alpha
         if len(self.block) != alpha.n:
             raise ValueError("block length must equal the period N")

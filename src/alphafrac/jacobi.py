@@ -22,7 +22,7 @@ from .errors import (
     SpecialDivisor,
 )
 from .expansion import AlphaTriple
-from .polyring import Polynomial, as_fraction, rational_sqrt
+from .polyring import Polynomial, as_fraction, not_text, rational_sqrt
 
 
 class CurvePoint(NamedTuple):
@@ -68,27 +68,17 @@ class JacobiTriple:
             self.U, self.V, self.W, self.R)
 
 
-def _lagrange(points) -> Polynomial:
-    """Interpolating polynomial through (lam_i, mu_i), degree <= len-1."""
-    total = Polynomial()
-    for i, (xi, yi) in enumerate(points):
-        term = Polynomial([yi])
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            term = term * Polynomial.linear(xj) / (xi - xj)
-        total = total + term
-    return total
-
-
 def jacobi_from_divisor(points, R: Polynomial) -> JacobiTriple:
     """Jacobi triple of a divisor given as g affine curve points.
 
-    U = prod(x - lam_i), V interpolates V(lam_i) = mu_i, W = (R - V^2)/U.
+    U = prod(x - lam_i), V interpolates V(lam_i) = mu_i, W = (R - V^2)/U;
+    U and V are built together in one Newton pass of O(g^2) coefficient
+    operations.  A point is a pair of rationals, never a string.
     Conjugate point pairs and repeated abscissae are rejected; every point
     must satisfy mu^2 = R(lambda).
     """
-    pts = [CurvePoint(as_fraction(p[0]), as_fraction(p[1])) for p in points]
+    pts = [CurvePoint(as_fraction(p[0]), as_fraction(p[1]))
+           for p in map(not_text, points)]
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             if pts[i].lam == pts[j].lam:
@@ -104,8 +94,12 @@ def jacobi_from_divisor(points, R: Polynomial) -> JacobiTriple:
             raise PointOffCurve(
                 "point %d: mu^2 = %s but R(%s) = %s"
                 % (i, p.mu * p.mu, p.lam, R(p.lam)))
-    U = Polynomial.from_roots(p.lam for p in pts)
-    V = _lagrange([(p.lam, p.mu) for p in pts])
+    # U vanishes at the points met so far: adding a multiple of it to V
+    # keeps V's values there.
+    U, V = Polynomial([1]), Polynomial()
+    for lam, mu in pts:
+        V = V + U * ((mu - V(lam)) / U(lam))
+        U = U * Polynomial.linear(lam)
     # U divides R - V^2 as V(lam_i)^2 = R(lam_i); the constructor re-checks.
     return JacobiTriple(U, V, divmod(R - V * V, U)[0], R)
 

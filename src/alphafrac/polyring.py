@@ -37,6 +37,17 @@ def as_fraction(x) -> Fraction:
     raise ValueError(_BAD_RATIONAL % (x,))
 
 
+def not_text(xs):
+    """xs, which stands for a sequence of rationals or for a point.
+
+    A str, bytes or bytearray raises TypeError: iterated, "12" would be the
+    rationals "1" and "2", and b"12" the integers 49 and 50.
+    """
+    if isinstance(xs, (str, bytes, bytearray)):
+        raise TypeError("expected a sequence of rationals, got %.40r" % (xs,))
+    return xs
+
+
 def rational_sqrt(x: Fraction):
     """Exact square root of a rational, or None if x is not a square in Q.
 
@@ -108,7 +119,7 @@ def _scalar(x):
         return x.numerator, x.denominator
     if isinstance(x, int) and not isinstance(x, bool):
         return x, 1
-    raise TypeError("cannot combine polynomial with %r" % (x,))
+    raise TypeError("cannot combine polynomial with %.40r" % (x,))
 
 
 class Polynomial:
@@ -129,7 +140,7 @@ class Polynomial:
     __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs=()):
-        cs = [as_fraction(c) for c in coeffs]
+        cs = [as_fraction(c) for c in not_text(coeffs)]
         # The lcm of reduced denominators is coprime to the numerators.
         den = math.lcm(*[c.denominator for c in cs])
         self._num, self._den = _stripped(
@@ -144,7 +155,7 @@ class Polynomial:
     @classmethod
     def from_roots(cls, roots) -> "Polynomial":
         p = cls([1])
-        for r in roots:
+        for r in not_text(roots):
             p = p * cls.linear(r)
         return p
 
@@ -232,8 +243,7 @@ class Polynomial:
         return _make([c * p for c in u], du * q)
 
     def __truediv__(self, scalar):
-        scalar = as_fraction(scalar)
-        p, q = scalar.numerator, scalar.denominator
+        p, q = _scalar(scalar)
         if not p and self._num:
             raise ZeroDivisionError("polynomial division by zero")
         return self._scaled(q, p) if p >= 0 else self._scaled(-q, -p)

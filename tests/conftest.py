@@ -54,3 +54,19 @@ def random_jacobi(rng, g):
     v = random_polynomial(rng, g - 1) if g >= 1 else Polynomial()
     w = random_polynomial(rng, g + 1, monic=True)
     return JacobiTriple(u, v, w, v * v + u * w)
+
+
+def lagrange(points):
+    """Reference interpolant through the (lam_i, mu_i), degree <= len - 1.
+
+    Lagrange's formula, each basis product built from scratch: an oracle
+    that shares no code path with jacobi_from_divisor's Newton pass.
+    """
+    total = Polynomial()
+    for i, (xi, yi) in enumerate(points):
+        term = Polynomial([yi])
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                term = term * Polynomial.linear(xj) / (xi - xj)
+        total = total + term
+    return total

@@ -36,7 +36,12 @@ from alphafrac import (
 )
 from alphafrac.polyring import Polynomial, rational_sqrt
 
-from conftest import random_expansion, random_jacobi, random_rational
+from conftest import (
+    lagrange,
+    random_expansion,
+    random_jacobi,
+    random_rational,
+)
 
 
 def F(*args):
@@ -231,9 +236,8 @@ def test_jacobi_correspondence():
         g = rng.randint(1, 3)
         lams = rng.sample(range(-6, 7), g)
         mus = [random_rational(rng, -6, 6, 3) for _ in range(g)]
-        from alphafrac.jacobi import _lagrange
         u = Polynomial.from_roots(lams)
-        v = _lagrange(list(zip(map(F, lams), mus)))
+        v = lagrange(list(zip(map(F, lams), mus)))
         w = Polynomial.from_roots(
             rng.sample(range(-9, 10), g + 1))
         r = v * v + u * w

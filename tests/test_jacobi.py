@@ -21,7 +21,12 @@ from alphafrac import (
 )
 from alphafrac.polyring import Polynomial
 
-from conftest import random_jacobi, random_polynomial, random_rational
+from conftest import (
+    lagrange,
+    random_jacobi,
+    random_polynomial,
+    random_rational,
+)
 
 
 def P(*coeffs):
@@ -77,6 +82,26 @@ class TestFromDivisor:
         with pytest.raises(PointOffCurve):
             jacobi_from_divisor([(6, 1)], R_SECT4)
 
+    def test_newton_pass_matches_lagrange(self):
+        # U is the product of the x - lam_i and V the Lagrange interpolant,
+        # at genus 0 to 10 and abscissae of mixed height.
+        rng = random.Random(83)
+        for g in range(11):
+            for _ in range(12):
+                lams = []
+                while len(lams) < g:
+                    lam = F(rng.randint(-1000, 1000),
+                            rng.choice((1, 2, 3, 7, 997)))
+                    if lam not in lams:
+                        lams.append(lam)
+                points = [(lam, random_rational(rng, -9, 9, 4))
+                          for lam in lams]
+                u = Polynomial.from_roots(lams)
+                v = lagrange(points)
+                w = random_polynomial(rng, g + 1, monic=True)
+                j = jacobi_from_divisor(points, v * v + u * w)
+                assert (j.U, j.V, j.W) == (u, v, w)
+
 
 class TestToDivisor:
     def test_genus1_inverse(self):
@@ -119,8 +144,7 @@ class TestToDivisor:
         rng = random.Random(71)
         points = [CurvePoint(F(l), random_rational(rng, -9, 9, 4))
                   for l in lams]
-        from alphafrac.jacobi import _lagrange
-        v = _lagrange(points)
+        v = lagrange(points)
         w = random_polynomial(rng, len(lams) + 1, monic=True)
         r = v * v + Polynomial.from_roots(lams) * w
         got = divisor_from_jacobi(jacobi_from_divisor(points, r))
@@ -136,8 +160,7 @@ class TestToDivisor:
             # build an R passing through the chosen points
             u = Polynomial.from_roots(lams)
             w = random_polynomial(rng, g + 1, monic=True)
-            from alphafrac.jacobi import _lagrange
-            v = _lagrange([(p.lam, p.mu) for p in points])
+            v = lagrange(points)
             r = v * v + u * w
             j = jacobi_from_divisor(points, r)
             assert (j.U, j.V, j.W) == (u, v, w)

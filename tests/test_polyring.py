@@ -1,9 +1,10 @@
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from alphafrac import AlphaSequence, Expansion
+from alphafrac import AlphaSequence, Expansion, jacobi_from_divisor
 from alphafrac.polyring import (
     Polynomial,
     as_fraction,
@@ -178,6 +179,42 @@ class TestRationalGrammar:
             x * p
         with pytest.raises(TypeError):
             p + x
+        with pytest.raises(TypeError):
+            p / x
+
+    @pytest.mark.parametrize("op", [
+        operator.add, operator.sub, operator.mul, operator.truediv])
+    def test_string_operand_is_type_error(self, op):
+        # A string is a rational as a coefficient, never as an operand.
+        p = Polynomial(["1", "2"])
+        with pytest.raises(TypeError) as info:
+            op(p, "9" * 100)
+        assert str(info.value) == (
+            "cannot combine polynomial with '" + "9" * 39)
+
+    def test_division_by_zero(self):
+        with pytest.raises(ZeroDivisionError,
+                           match="^polynomial division by zero$"):
+            Polynomial(["1", "2"]) / 0
+
+    @pytest.mark.parametrize("kind", [str, bytes, bytearray])
+    def test_text_is_not_a_sequence(self, kind):
+        # Iterated, "134" would be the rationals "1", "3", "4" and b"134"
+        # the integers 49, 51, 52.
+        def text(s):
+            return s if kind is str else kind(s, "ascii")
+
+        with pytest.raises(TypeError):
+            Polynomial(text("12"))
+        with pytest.raises(TypeError):
+            Polynomial.from_roots(text("12"))
+        with pytest.raises(TypeError):
+            AlphaSequence(text("134"))
+        with pytest.raises(TypeError):
+            Expansion("1", text("131"), AlphaSequence([1, 3, 4]))
+        # R(1) = 4, so "12" read as a point would be (1, 2) on the curve.
+        with pytest.raises(TypeError):
+            jacobi_from_divisor([text("12")], P("3", "0", "0", "1"))
 
     def test_value_quoted_to_40_characters(self):
         with pytest.raises(ValueError) as info:

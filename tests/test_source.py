@@ -58,6 +58,23 @@ def test_unchecked_constructors_stay_in_symmetry():
     assert found == []
 
 
+def test_representation_stays_in_polyring():
+    # A Polynomial's integer numerators and denominator are polyring's
+    # private representation; every other module reads coeffs, coeff(k)
+    # and lead, so the representation can change in one place.
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    private = {"_num", "_den"}
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in paths if path.name != "polyring.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Attribute) and node.attr in private)
+        or (isinstance(node, ast.Constant) and node.value in private)
+    ]
+    assert found == []
+
+
 def test_traced_names_resolve():
     # The benchmark's tracer wraps alphafrac names from outside and skips
     # any it cannot find, so a rename would silently drop a span.  It also
