@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import deque
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -183,25 +184,29 @@ class ConvergentPair(NamedTuple):
     Q: Polynomial
 
 
-def convergents(e: Expansion):
-    """Convergents: pairs[k + 1] is (P_k, Q_k), for k = -1 .. N.
+def _convergent_pairs(e: Expansion):
+    """(P_k, Q_k) for k = -1 .. N, one at a time, by the recurrence.
 
     The step-N coefficient is b_N* = b_N - b_0; partial numerators are
     a_k = x - alpha_k.
     """
     alphas = e.alpha.alphas
     n = e.n
-    pairs = [
-        ConvergentPair(Polynomial([1]), Polynomial()),
-        ConvergentPair(Polynomial([e.b0]), Polynomial([1])),
-    ]
+    prev = ConvergentPair(Polynomial([1]), Polynomial())
+    last = ConvergentPair(Polynomial([e.b0]), Polynomial([1]))
+    yield prev
+    yield last
     for k in range(1, n + 1):
         b = e.block[k - 1] if k < n else e.bn_star
         a = Polynomial.linear(alphas[k - 1])
-        P = b * pairs[-1].P + a * pairs[-2].P
-        Q = b * pairs[-1].Q + a * pairs[-2].Q
-        pairs.append(ConvergentPair(P, Q))
-    return pairs
+        prev, last = last, ConvergentPair(b * last.P + a * prev.P,
+                                          b * last.Q + a * prev.Q)
+        yield last
+
+
+def convergents(e: Expansion):
+    """Convergents: pairs[k + 1] is (P_k, Q_k), for k = -1 .. N."""
+    return list(_convergent_pairs(e))
 
 
 def expansion_to_triple(e: Expansion):
@@ -210,11 +215,10 @@ def expansion_to_triple(e: Expansion):
     A = Q_{N-1}, B = (Q_N - P_{N-1})/2, C = -P_N, T = (P_{N-1} + Q_N)/2.
     This is a valid triple for every choice of b_i: by induction on the
     recurrence Q_{2j} and P_{2j+1} are monic of degrees j and j+1, while
-    deg Q_{2j+1} <= j and deg P_{2j} <= j.
+    deg Q_{2j+1} <= j and deg P_{2j} <= j.  Only the last two convergent
+    pairs are kept alive.
     """
-    pairs = convergents(e)
-    p_prev, q_prev = pairs[-2].P, pairs[-2].Q
-    p_last, q_last = pairs[-1].P, pairs[-1].Q
+    (p_prev, q_prev), (p_last, q_last) = deque(_convergent_pairs(e), maxlen=2)
     triple = AlphaTriple(q_prev, (q_last - p_prev) / 2, -p_last)
     return triple, (p_prev + q_last) / 2
 

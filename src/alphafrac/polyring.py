@@ -38,13 +38,14 @@ def as_fraction(x) -> Fraction:
 
 
 def not_text(xs):
-    """xs, which stands for a sequence of rationals or for a point.
+    """xs, which stands for a sequence: of rationals, a point or a group word.
 
     A str, bytes or bytearray raises TypeError: iterated, "12" would be the
-    rationals "1" and "2", and b"12" the integers 49 and 50.
+    rationals "1" and "2", b"12" the integers 49 and 50, and the word
+    "epspi" the letters "e", "p", ...
     """
     if isinstance(xs, (str, bytes, bytearray)):
-        raise TypeError("expected a sequence of rationals, got %.40r" % (xs,))
+        raise TypeError("expected a sequence, got the text %.40r" % (xs,))
     return xs
 
 

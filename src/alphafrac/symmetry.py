@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 from .errors import NotPure, ZeroPivot
 from .expansion import AlphaSequence, Expansion, expansion_to_triple
+from .polyring import not_text
 
 
 def _permuted(seq: tuple, k) -> tuple:
@@ -87,10 +88,10 @@ def parse_word(letters, n: int):
 
     A sigma letter is "sigma:" and an ASCII index without sign, space or
     leading zero.  Returns the letters as sigma indices k, with None
-    standing for epspi.
+    standing for epspi.  A word given as one string raises TypeError.
     """
     parsed = []
-    for tok in letters:
+    for tok in not_text(letters):
         if tok == "epspi":
             parsed.append(None)
             continue

@@ -1,9 +1,18 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from alphafrac import AlphaSequence, AlphaTriple, Expansion, JacobiTriple
+from alphafrac import (
+    AlphaSequence,
+    AlphaTriple,
+    CurvePoint,
+    Expansion,
+    IrrationalSupport,
+    JacobiTriple,
+    RepeatedAbscissa,
+)
 from alphafrac.polyring import Polynomial
 
 
@@ -70,3 +79,67 @@ def lagrange(points):
                 term = term * Polynomial.linear(xj) / (xi - xj)
         total = total + term
     return total
+
+
+def euclid_first_roots(u):
+    """Reference distinct rational roots of a monic u, squarefree part first.
+
+    gcd(u, u') over Q and h = u / gcd, then Loos's p-adic lift on h's monic
+    integer form at the first odd prime where every root of it mod p is
+    simple: the search as it stood before it ran on u itself.
+    """
+    a, b = u, Polynomial([k * c for k, c in enumerate(u.coeffs)][1:])
+    while b:
+        a, b = b, a % b
+    h = u // (a / a.lead)
+    n = h.degree
+    D = math.lcm(*(c.denominator for c in h.coeffs))
+    f = [int(c * D ** (n - i)) for i, c in enumerate(h.coeffs)]
+    df = [i * c for i, c in enumerate(f)][1:]
+
+    def horner(cs, x):
+        acc = 0
+        for c in reversed(cs):
+            acc = acc * x + c
+        return acc
+
+    p = 3
+    while True:
+        mod_p = [x for x in range(p) if horner(f, x) % p == 0]
+        if all(horner(df, x) % p for x in mod_p):
+            break
+        p += 2
+        while any(p % q == 0 for q in range(3, math.isqrt(p) + 1, 2)):
+            p += 2
+    bound = 1 + max(map(abs, f[:-1]), default=0)
+    roots = []
+    for y in mod_p:
+        m, inv = p, pow(horner(df, y), -1, p)
+        while m <= 2 * bound:
+            m *= m
+            y = (y - horner(f, y) * inv) % m
+            inv = inv * (2 - horner(df, y) * inv) % m
+        if y > m // 2:
+            y -= m
+        if horner(f, y) == 0:
+            roots.append(Fraction(y, D))
+    return roots
+
+
+def divisor_reference(j):
+    """Reference divisor_from_jacobi: every root divided out, then judged.
+
+    Roots come from euclid_first_roots and are met by height (|num|, den,
+    + before -); the error texts are the library's.
+    """
+    u = j.U
+    roots = sorted(euclid_first_roots(u))
+    for r in sorted(roots, key=lambda r: (abs(r.numerator), r.denominator,
+                                          r < 0)):
+        u = u.synthetic_div(r)[0]
+        if u(r) == 0:
+            raise RepeatedAbscissa("U has the repeated root %s" % r)
+    if u.degree >= 1:
+        raise IrrationalSupport(
+            "U does not split over Q (remaining factor %s)" % u)
+    return tuple(CurvePoint(r, j.V(r)) for r in roots)

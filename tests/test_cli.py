@@ -144,6 +144,15 @@ class TestOtherCommands:
         assert code == 2
         assert json.loads(err)["error"] == "MalformedInput"
 
+    def test_act_text_word(self, capsys):
+        # --word is JSON: '"epspi"' decodes to a string, not a word.
+        code, out, err = run(
+            capsys, ["act", "--word", '"epspi"'], SECT4_EXPANSION)
+        assert (code, out) == (2, None)
+        assert json.loads(err) == {
+            "error": "MalformedInput",
+            "detail": "expected a sequence, got the text 'epspi'"}
+
     def test_orbit(self, capsys):
         code, out, _ = run(capsys, ["orbit"], SECT4_EXPANSION)
         assert code == 0

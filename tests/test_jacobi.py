@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -19,9 +20,12 @@ from alphafrac import (
     jacobi_from_divisor,
     pure_beta_candidates,
 )
+from alphafrac.jacobi import _PRIME_LIMIT, _lifted_roots, _rational_roots
 from alphafrac.polyring import Polynomial
 
 from conftest import (
+    divisor_reference,
+    euclid_first_roots,
     lagrange,
     random_jacobi,
     random_polynomial,
@@ -81,6 +85,17 @@ class TestFromDivisor:
     def test_off_curve_rejected(self):
         with pytest.raises(PointOffCurve):
             jacobi_from_divisor([(6, 1)], R_SECT4)
+
+    @pytest.mark.parametrize("points, index", [
+        # (6, -11/2) is on the curve: only the extra entries are wrong.
+        ([(6, F(-11, 2), "junk", 7)], 0),
+        ([(6, F(-11, 2)), (1, 2, 3)], 1),
+        ([(6,)], 0),
+        ([()], 0),
+    ])
+    def test_point_must_be_a_pair(self, points, index):
+        with pytest.raises(ValueError, match="^point %d " % index):
+            jacobi_from_divisor(points, R_SECT4)
 
     def test_newton_pass_matches_lagrange(self):
         # U is the product of the x - lam_i and V the Lagrange interpolant,
@@ -168,6 +183,55 @@ class TestToDivisor:
             assert set(got) == set(points)
             back = jacobi_from_divisor(got, r)
             assert back == j
+
+
+def _outcome(fn, j):
+    try:
+        return fn(j)
+    except (RepeatedAbscissa, IrrationalSupport) as exc:
+        return type(exc), str(exc)
+
+
+class TestRootSearch:
+    def test_matches_euclid_first_reference(self):
+        # The search on U itself against the squarefree-part-first
+        # reference: sorted roots, and divisor records or error texts.
+        rng = random.Random(89)
+        x2p1, x3m2 = P("1", "0", "1"), P("-2", "0", "0", "1")
+        corpus = []
+        for _ in range(300):
+            lams = set()
+            for _ in range(rng.randint(0, 8)):
+                lams.add(F(rng.randint(-10 ** 6, 10 ** 6),
+                           rng.choice((1, 2, 3, 7, 997))))
+            u = Polynomial.from_roots(sorted(lams))
+            kind = rng.randrange(6)
+            if kind <= 1 and lams:     # a repeated rational root
+                u = u * Polynomial.linear(rng.choice(sorted(lams)))
+            elif kind == 2:            # irreducible quadratic and cubic
+                u = u * rng.choice((x2p1, x3m2))
+            elif kind == 3:            # a repeated irreducible factor
+                u = u * x2p1 * x2p1
+            corpus.append(u)
+        # Squarefree, yet every odd prime below the limit makes two roots
+        # of the integer form meet, so only the fallback finds them.
+        m = math.prod(p for p in range(3, _PRIME_LIMIT, 2)
+                      if all(p % q for q in range(3, p, 2)))
+        c = rng.randint(-10 ** 6, 10 ** 6)
+        forced = [Polynomial.from_roots([c, c + m]),
+                  Polynomial.from_roots([F(c, 7), F(c, 7) + m, F(c, 7) - m]),
+                  Polynomial.from_roots([0, m, 2 * m]) * x2p1]
+        for u in forced:
+            assert _lifted_roots(u, _PRIME_LIMIT) is None
+        for u in corpus + forced:
+            assert sorted(_rational_roots(u)) == \
+                sorted(euclid_first_roots(u))
+            g = u.degree
+            v = random_polynomial(rng, g - 1) if g else Polynomial()
+            w = random_polynomial(rng, g + 1, monic=True)
+            j = JacobiTriple(u, v, w, v * v + u * w)
+            assert _outcome(divisor_from_jacobi, j) == \
+                _outcome(divisor_reference, j)
 
 
 class TestAlphaCorrespondence:

@@ -122,6 +122,15 @@ class TestWord:
             with pytest.raises(ValueError):
                 parse_word([letter], 3)
 
+    @pytest.mark.parametrize("word", ["epspi", "sigma:1", b"epspi",
+                                      bytearray(b"epspi")])
+    def test_text_word_is_type_error(self, word):
+        # Iterated, "epspi" would be the letters "e", "p", ...
+        with pytest.raises(TypeError, match="^expected a sequence, got "):
+            parse_word(word, 3)
+        with pytest.raises(TypeError, match="^expected a sequence, got "):
+            apply_word(SECT4, word)
+
     def test_zero_pivot_reports_step(self):
         e = make(1, [0, 1, 2], [1, 3, 4])
         with pytest.raises(ZeroPivot, match="step 0"):
