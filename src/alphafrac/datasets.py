@@ -8,92 +8,44 @@ operations here; the acceptance suite pins their values independently.
 from __future__ import annotations
 
 from .errors import UnknownExample
-from .expansion import (
-    AlphaSequence,
-    AlphaTriple,
-    expand,
-    pure_expand,
-)
+from .expansion import AlphaSequence, AlphaTriple, expand, pure_expand
 from .polyring import Polynomial
 from .serialize import expansion_to_json, triple_to_json
 from .symmetry import orbit
 
-def _sect4():
+# name: ((A, B, C) ascending coefficients, shifts, what the record holds:
+# "orbit" of the first expansion, "both" expansions, or the "pure" one)
+_EXAMPLES = {
     # Genus-1 triple with the full 12-element symmetry orbit.
-    triple = AlphaTriple(
-        Polynomial(["-6", "1"]),
-        Polynomial(["7/2", "-3/2"]),
-        Polynomial(["-2", "4", "-1"]))
-    alpha = AlphaSequence(["1", "3", "4"])
-    first, _second = expand(triple, alpha)
-    full = orbit(first)
-    return {
-        "name": "sect4",
-        "alpha": ["1", "3", "4"],
-        "triple": triple_to_json(triple),
-        "expansions": [expansion_to_json(e) for e in full.expansions],
-    }
-
-
-def _n1_periodic():
+    "sect4": ((("-6", "1"), ("7/2", "-3/2"), ("-2", "4", "-1")),
+              ("1", "3", "4"), "orbit"),
     # N = 1: A = 1, B = 0, C = -(x + 3), alpha_1 = 1; heads are +-2.
-    triple = AlphaTriple(
-        Polynomial(["1"]), Polynomial(), Polynomial(["-3", "-1"]))
-    alpha = AlphaSequence(["1"])
-    plus, minus = expand(triple, alpha)
-    return {
-        "name": "n1-periodic",
-        "alpha": ["1"],
-        "triple": triple_to_json(triple),
-        "expansions": [expansion_to_json(plus), expansion_to_json(minus)],
-    }
-
-
-def _n1_pure():
+    "n1-periodic": ((("1",), (), ("-3", "-1")), ("1",), "both"),
     # N = 1 pure case with beta = 1, alpha_1 = 0: b_0 = b_1 = -2 beta.
-    triple = AlphaTriple(
-        Polynomial(["1"]), Polynomial(["1"]), Polynomial(["0", "-1"]))
-    alpha = AlphaSequence(["0"])
-    e = pure_expand(triple, alpha)
-    return {
-        "name": "n1-pure",
-        "alpha": ["0"],
-        "triple": triple_to_json(triple),
-        "expansion": expansion_to_json(e),
-    }
-
-
-def _pure_n3():
+    "n1-pure": ((("1",), ("1",), ("0", "-1")), ("0",), "pure"),
     # Genus-1 pure case; the expansion is (1; 1, 1, 1) over alpha = (0, 1, 2).
-    triple = AlphaTriple(
-        Polynomial(["0", "1"]),
-        Polynomial(["-1", "-1/2"]),
-        Polynomial(["2", "1", "-1"]))
-    alpha = AlphaSequence(["0", "1", "2"])
-    e = pure_expand(triple, alpha)
-    return {
-        "name": "pure-n3",
-        "alpha": ["0", "1", "2"],
-        "triple": triple_to_json(triple),
-        "expansion": expansion_to_json(e),
-    }
-
-
-_BUILDERS = {
-    "sect4": _sect4,
-    "n1-periodic": _n1_periodic,
-    "n1-pure": _n1_pure,
-    "pure-n3": _pure_n3,
+    "pure-n3": ((("0", "1"), ("-1", "-1/2"), ("2", "1", "-1")),
+                ("0", "1", "2"), "pure"),
 }
-EXAMPLE_NAMES = tuple(_BUILDERS)
+EXAMPLE_NAMES = tuple(_EXAMPLES)
 
 
 def example(name: str) -> dict:
     """The canned dataset with the given name (see EXAMPLE_NAMES)."""
     try:
-        builder = _BUILDERS[name]
+        coeffs, alpha, kind = _EXAMPLES[name]
     except KeyError:
         raise UnknownExample(
             "no example named %r; choose from %s"
             % (name, ", ".join(EXAMPLE_NAMES))) from None
-    return builder()
+    triple = AlphaTriple(*map(Polynomial, coeffs))
+    shifts = AlphaSequence(alpha)
+    record = {"name": name, "alpha": list(alpha),
+              "triple": triple_to_json(triple)}
+    if kind == "pure":
+        record["expansion"] = expansion_to_json(pure_expand(triple, shifts))
+    else:
+        first, second = expand(triple, shifts)
+        found = orbit(first).expansions if kind == "orbit" else (first, second)
+        record["expansions"] = [expansion_to_json(e) for e in found]
+    return record

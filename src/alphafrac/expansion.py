@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import deque
+from collections import deque, namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import (
     FactorizationDegenerate,
@@ -179,9 +178,7 @@ class AlphaTriple:
         return "AlphaTriple(A=%s, B=%s, C=%s)" % (self.A, self.B, self.C)
 
 
-class ConvergentPair(NamedTuple):
-    P: Polynomial
-    Q: Polynomial
+ConvergentPair = namedtuple("ConvergentPair", "P Q")
 
 
 def _convergent_pairs(e: Expansion):

@@ -10,8 +10,8 @@ A = U, B = V + beta*U, C = -W + 2*beta*V + beta^2*U.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import (
     IrrationalBeta,
@@ -25,11 +25,8 @@ from .expansion import AlphaTriple
 from .polyring import Polynomial, as_fraction, not_text, rational_sqrt
 
 
-class CurvePoint(NamedTuple):
-    """An affine point (lambda, mu) with mu^2 = R(lambda)."""
-
-    lam: Fraction
-    mu: Fraction
+CurvePoint = namedtuple("CurvePoint", "lam mu")
+CurvePoint.__doc__ = "An affine point (lambda, mu) with mu^2 = R(lambda)."
 
 
 class JacobiTriple:

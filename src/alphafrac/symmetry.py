@@ -10,7 +10,7 @@ in the pure case the group breaks down to S_{N-1} (sigma_1 .. sigma_{N-2}).
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import NotPure, ZeroPivot
 from .expansion import AlphaSequence, Expansion, expansion_to_triple
@@ -116,16 +116,8 @@ def apply_word(e: Expansion, letters) -> Expansion:
     return e
 
 
-class SkippedEdge(NamedTuple):
-    source: Expansion
-    generator: str
-    detail: str
-
-
-class OrbitResult(NamedTuple):
-    expansions: tuple
-    complete: bool
-    skipped_edges: tuple
+SkippedEdge = namedtuple("SkippedEdge", "source generator detail")
+OrbitResult = namedtuple("OrbitResult", "expansions complete skipped_edges")
 
 
 def orbit(e: Expansion, pure: bool = False) -> OrbitResult:

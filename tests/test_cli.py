@@ -4,6 +4,7 @@ import os
 import pytest
 
 from alphafrac.cli import main
+from alphafrac.datasets import EXAMPLE_NAMES, example
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -19,6 +20,12 @@ SECT4_EXPANSION = {
     "block": ["-3", "1", "3"],
     "alpha": ["1", "3", "4"],
 }
+
+
+def golden_text(name):
+    with open(os.path.join(GOLDEN_DIR, name + ".json"),
+              encoding="utf-8") as fh:
+        return fh.read()
 
 
 def run(capsys, args, payload=None, monkeypatch=None, stdin_text=None):
@@ -102,6 +109,23 @@ class TestExpandCommand:
         assert (code, out) == (2, None)
         assert json.loads(err)["error"] == "MalformedInput"
         assert len(err.encode()) < 1024
+
+    @pytest.mark.parametrize("command, payload, message", [
+        ("expand", dict(SECT4_INPUT, A=["-6", "2"]),
+         "A must be monic of degree g"),
+        ("jacobi-to-divisor",
+         {"U": ["-6", "2"], "V": ["-11/2"], "W": ["5", "-7/4", "1"],
+          "R": ["1/4", "31/2", "-31/4", "1"]},
+         "U must be monic"),
+        ("triple", dict(SECT4_EXPANSION, block=["-3", "1"]),
+         "block length must equal the period N"),
+    ])
+    def test_constructor_check_gives_one_record(self, capsys, command,
+                                                payload, message):
+        code, out, err = run(capsys, [command], payload)
+        assert (code, out) == (2, None)
+        assert json.loads(err) == {"error": "MalformedInput",
+                                   "detail": message}
 
     def test_missing_output_dir(self, capsys, tmp_path):
         outp = tmp_path / "no-such-dir" / "out.json"
@@ -243,13 +267,18 @@ class TestExampleCommand:
         assert code == 1
         assert json.loads(err)["error"] == "UnknownExample"
 
-    def test_sect4_matches_golden_bytes(self, capsys):
-        code = main(["example", "--name", "sect4"])
+    @pytest.mark.parametrize("name", EXAMPLE_NAMES)
+    def test_example_matches_golden_bytes(self, capsys, name):
+        code = main(["example", "--name", name])
         assert code == 0
-        captured = capsys.readouterr()
-        with open(os.path.join(GOLDEN_DIR, "sect4.json"),
-                  encoding="utf-8") as fh:
-            assert captured.out == fh.read()
+        assert capsys.readouterr().out == golden_text(name)
+
+    def test_returned_record_is_a_copy(self):
+        first = example("sect4")
+        first["alpha"].append("9")
+        first["triple"]["A"].append("9")
+        first["expansions"][0]["block"].append("9")
+        assert example("sect4") == json.loads(golden_text("sect4"))
 
     def test_n1_pure(self, capsys):
         code, out, _ = run(capsys, ["example", "--name", "n1-pure"])
@@ -272,7 +301,6 @@ class TestExampleCommand:
         ]
 
     def test_every_example_parses(self, capsys):
-        from alphafrac.datasets import EXAMPLE_NAMES
         for name in EXAMPLE_NAMES:
             code, out, _ = run(capsys, ["example", "--name", name])
             assert code == 0

@@ -74,6 +74,27 @@ class TestAlphaSequence:
             P("-12", "19", "-8", "1")
 
 
+class TestConstructorChecks:
+    A, B, C = P("-6", "1"), P("7/2", "-3/2"), P("-2", "4", "-1")
+
+    @pytest.mark.parametrize("args, message", [
+        ((A, B, P("-2", "4", "1")), "C must be anti-monic"),
+        ((A, B, Polynomial()), "C must be anti-monic"),
+        ((P("1"), Polynomial(), P("-1")), r"C must have degree g \+ 1 >= 1"),
+        ((P("-6", "2"), B, C), "A must be monic of degree g"),
+        ((P("1"), B, C), "A must be monic of degree g"),
+        ((A, P("0", "0", "1"), C), "deg B must be at most g"),
+    ])
+    def test_alpha_triple_rejects(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            AlphaTriple(*args)
+
+    def test_expansion_block_length(self):
+        with pytest.raises(ValueError,
+                           match="block length must equal the period N"):
+            Expansion(1, [-3, 1], AlphaSequence([1, 3, 4]))
+
+
 class TestConvergents:
     def test_sect4_recurrence(self):
         # run by hand: P2 = 2x-7, Q2 = x-6, P3 = x^2-4x+2, Q3 = -x
@@ -367,6 +388,11 @@ class TestNumericResidual:
     def test_pole(self, sect4_triple):
         with pytest.raises(PoleAtLambda):
             numeric_residual(sect4_triple, 6, +1)
+
+    @pytest.mark.parametrize("branch", [0, 2, -2])
+    def test_branch_must_be_a_sign(self, sect4_triple, branch):
+        with pytest.raises(ValueError, match="branch must be"):
+            numeric_residual(sect4_triple, 0, branch)
 
     def test_outside_float_range(self, sect4_triple):
         # A(lambda) overflows a float, or underflows to 0.0 next to its root

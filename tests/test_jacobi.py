@@ -56,6 +56,16 @@ class TestJacobiTriple:
             JacobiTriple(P("-6", "1"), x, P("5", "-7/4", "1"),
                          x * x + P("-6", "1") * P("5", "-7/4", "1"))
 
+    @pytest.mark.parametrize("u, w, message", [
+        (P("-6", "2"), P("5", "-7/4", "1"), "U must be monic"),
+        (Polynomial(), P("5", "-7/4", "1"), "U must be monic"),
+        (P("-6", "1"), P("5", "-7/4", "2"), "W must be monic of degree g"),
+        (P("-6", "1"), P("5", "1"), "W must be monic of degree g"),
+    ])
+    def test_monic_enforced(self, u, w, message):
+        with pytest.raises(ValueError, match=message):
+            JacobiTriple(u, P("-11/2"), w, R_SECT4)
+
 
 class TestFromDivisor:
     def test_genus1_point(self):

@@ -54,6 +54,11 @@ class TestRingOps:
         assert r2 == 7
         assert q2 == q
 
+    @pytest.mark.parametrize("op", [divmod, operator.floordiv, operator.mod])
+    def test_division_by_zero(self, op):
+        with pytest.raises(ZeroDivisionError, match="division by zero"):
+            op(P("1", "1"), Polynomial())
+
     def test_synthetic_division(self):
         q, rem = P("-12", "19", "-8", "1").synthetic_div(3)
         assert rem == 0

@@ -20,12 +20,10 @@ def test_no_assert_statements():
     assert found == []
 
 
-def test_src_imports_stdlib_only():
-    # sympy, hypothesis and numpy are installed for tests only; alphafrac
-    # itself runs on the standard library alone.
+def _absolute_imports():
+    """(file:line, module) for every absolute import under src/alphafrac."""
     paths = sorted(SRC.glob("*.py"))
     assert paths
-    found = []
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
@@ -34,9 +32,23 @@ def test_src_imports_stdlib_only():
                 names = [node.module]
             else:
                 continue
-            found += ["%s:%d %s" % (path.name, node.lineno, name)
-                      for name in names
-                      if name.partition(".")[0] not in sys.stdlib_module_names]
+            for name in names:
+                yield "%s:%d" % (path.name, node.lineno), name
+
+
+def test_src_imports_stdlib_only():
+    # sympy, hypothesis and numpy are installed for tests only; alphafrac
+    # itself runs on the standard library alone.
+    found = ["%s %s" % (where, name) for where, name in _absolute_imports()
+             if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert found == []
+
+
+def test_src_does_not_import_typing():
+    # Result types are collections.namedtuples; the package keeps no
+    # annotation-only imports.
+    found = ["%s %s" % (where, name) for where, name in _absolute_imports()
+             if name.partition(".")[0] == "typing"]
     assert found == []
 
 
