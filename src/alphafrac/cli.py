@@ -131,8 +131,15 @@ def _cmd_example(payload, args):
     return datasets.example(args.name)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError; subparsers share the class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="alphafrac",
         description="Periodic alpha-fraction expansions on odd-degree "
                     "hyperelliptic curves, in exact rational arithmetic.")
@@ -206,9 +213,8 @@ def _write_result(args, result):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         payload = _read_payload(args)
         result = args.handler(payload, args)
         _write_result(args, result)
@@ -216,8 +222,7 @@ def main(argv=None) -> int:
         sys.stderr.write(canonical_dumps(
             {"error": exc.code, "detail": str(exc)}))
         return 1
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError,
-            OSError, RecursionError) as exc:
+    except (KeyError, TypeError, ValueError, OSError, RecursionError) as exc:
         sys.stderr.write(canonical_dumps(
             {"error": "MalformedInput", "detail": str(exc)}))
         return 2

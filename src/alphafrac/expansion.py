@@ -92,6 +92,9 @@ class Expansion:
     def __init__(self, b0, block, alpha: AlphaSequence):
         self.b0 = as_fraction(b0)
         self.block = tuple(as_fraction(b) for b in not_text(block))
+        if not isinstance(alpha, AlphaSequence):
+            raise TypeError("alpha must be an AlphaSequence, got %.40r"
+                            % (alpha,))
         self.alpha = alpha
         if len(self.block) != alpha.n:
             raise ValueError("block length must equal the period N")
@@ -147,6 +150,10 @@ class AlphaTriple:
     __slots__ = ("A", "B", "C")
 
     def __init__(self, A: Polynomial, B: Polynomial, C: Polynomial):
+        for name, p in zip("ABC", (A, B, C)):
+            if not isinstance(p, Polynomial):
+                raise TypeError("%s must be a Polynomial, got %.40r"
+                                % (name, p))
         if C.is_zero() or C.lead != -1:
             raise ValueError("C must be anti-monic")
         g = C.degree - 1

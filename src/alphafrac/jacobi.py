@@ -9,9 +9,7 @@ A = U, B = V + beta*U, C = -W + 2*beta*V + beta^2*U.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
-from fractions import Fraction
 
 from .errors import (
     IrrationalBeta,
@@ -22,7 +20,8 @@ from .errors import (
     SpecialDivisor,
 )
 from .expansion import AlphaTriple
-from .polyring import Polynomial, as_fraction, not_text, rational_sqrt
+from .polyring import (Polynomial, as_fraction, not_text, rational_roots,
+                       rational_sqrt)
 
 
 CurvePoint = namedtuple("CurvePoint", "lam mu")
@@ -36,6 +35,10 @@ class JacobiTriple:
 
     def __init__(self, U: Polynomial, V: Polynomial, W: Polynomial,
                  R: Polynomial):
+        for name, p in zip("UVWR", (U, V, W, R)):
+            if not isinstance(p, Polynomial):
+                raise TypeError("%s must be a Polynomial, got %.40r"
+                                % (name, p))
         if U.is_zero() or U.lead != 1:
             raise ValueError("U must be monic")
         g = U.degree
@@ -70,13 +73,16 @@ def jacobi_from_divisor(points, R: Polynomial) -> JacobiTriple:
 
     U = prod(x - lam_i), V interpolates V(lam_i) = mu_i, W = (R - V^2)/U;
     U and V are built together in one Newton pass of O(g^2) coefficient
-    operations.  A point is a pair of rationals, never a string, and
-    has exactly two entries.
+    operations.  A point is a pair of rationals, never a string or a
+    dict, and has exactly two entries.
     Conjugate point pairs and repeated abscissae are rejected; every point
     must satisfy mu^2 = R(lambda).
     """
     pts = []
     for i, p in enumerate(map(not_text, points)):
+        if isinstance(p, dict):
+            raise TypeError("point %d must be a pair (lambda, mu), got %.40r"
+                            % (i, p))
         if len(p) != 2:
             raise ValueError("point %d must be a pair (lambda, mu), got %d "
                              "entries" % (i, len(p)))
@@ -106,104 +112,6 @@ def jacobi_from_divisor(points, R: Polynomial) -> JacobiTriple:
     return JacobiTriple(U, V, divmod(R - V * V, U)[0], R)
 
 
-# The odd primes below this limit are tried on U itself before
-# gcd(U, U') over Q is taken.  For a U with distinct roots, p fails only if
-# it divides the discriminant of U's integer form, and a split U of degree
-# g fails at every p < g, where two of its g roots share a residue.
-# With 64 (17 primes, product about 6 * 10^22), random integer roots of
-# height 10^6 fail all of them for none of 400 U of degree 8, 2 % at
-# degree 10 and 63 % at degree 16 (below 32: 22 %, 53 %, 99 %).  On
-# jacobi_roundtrip (degree <= 5) the search never went past 29.  A U with
-# a repeated root tries all 17 first: about 0.3 ms at degree 4 to 6,
-# against 0.1 to 0.2 ms for the gcd that follows.
-_PRIME_LIMIT = 64
-
-
-def _lifted_roots(u: Polynomial, limit):
-    """The distinct rational roots of a monic u, or None if no odd prime
-    p < limit leaves every root of u's integer form mod p simple.
-
-    After Loos's rational-zero algorithm (SIAM J. Comput. 12 (1983)).
-    Every rational root of u is y / D, D the lcm of u's denominators, for
-    an integer root y of the monic integer polynomial f(y) = D^n u(y / D).
-    At a prime p where every root of f mod p is simple, each such root
-    lifts by Newton steps mod p^(2^k) to the only integer candidate of
-    absolute value within Cauchy's bound 1 + max|f_i|; it is a root if f
-    vanishes there.  The work is polynomial in the degree and the
-    bit-size of u.
-    """
-    cs = u.coeffs
-    n = len(cs) - 1
-    D = math.lcm(*(c.denominator for c in cs))
-    f = [c.numerator * (D ** (n - i) // c.denominator)
-         for i, c in enumerate(cs)]
-    df = [i * c for i, c in enumerate(f)][1:]
-
-    def horner(cs, x):
-        acc = 0
-        for c in reversed(cs):
-            acc = acc * x + c
-        return acc
-
-    def simple_roots_mod(p):
-        # The roots of f mod p, or None at the first multiple one; f and
-        # f' are reduced once, so the search evaluates small integers.
-        fp, dfp = [c % p for c in f], [c % p for c in df]
-        found = []
-        for x in range(p):
-            if horner(fp, x) % p == 0:
-                if horner(dfp, x) % p == 0:
-                    return None
-                found.append(x)
-        return found
-
-    p = 3
-    while (mod_p := simple_roots_mod(p)) is None:
-        p += 2
-        while any(p % q == 0 for q in range(3, math.isqrt(p) + 1, 2)):
-            p += 2
-        if p >= limit:
-            return None
-    bound = 1 + max(map(abs, f[:-1]), default=0)
-    roots = []
-    for y in mod_p:
-        # inv is 1/f'(y) mod m, which is all a step to m^2 needs as
-        # f(y) = 0 mod m; it is lifted along with y by inv(2 - f'(y) inv).
-        m, inv = p, pow(horner(df, y), -1, p)
-        while m <= 2 * bound:
-            m *= m
-            y = (y - horner(f, y) * inv) % m
-            inv = inv * (2 - horner(df, y) * inv) % m
-        if y > m // 2:
-            y -= m
-        if horner(f, y) == 0:
-            roots.append(Fraction(y, D))
-    return roots
-
-
-def _rational_roots(u: Polynomial):
-    """The distinct rational roots of a monic u.
-
-    The search runs on u itself first.  It needs a prime p at which every
-    root of u's integer form mod p is simple, not a squarefree u: a
-    rational root that is simple mod p lifts to itself whatever else
-    divides u, so u and its squarefree part h = u / gcd(u, u') give the
-    same roots.  A squarefree u has such a p, any p not dividing its
-    discriminant, and at low degree nearly always one below _PRIME_LIMIT.
-    Only when no p below the limit serves are the gcd and h computed, and
-    h is searched with no limit; that search ends, as h is squarefree.  A
-    repeated rational root is a multiple root mod every p, so a u with one
-    always takes this fallback.
-    """
-    roots = _lifted_roots(u, _PRIME_LIMIT)
-    if roots is None:
-        a, b = u, Polynomial([k * c for k, c in enumerate(u.coeffs)][1:])
-        while b:
-            a, b = b, a % b
-        roots = _lifted_roots(u // (a / a.lead), math.inf)
-    return roots
-
-
 def divisor_from_jacobi(j: JacobiTriple):
     """The divisor points (lam_i, V(lam_i)) at the rational roots of U.
 
@@ -212,7 +120,7 @@ def divisor_from_jacobi(j: JacobiTriple):
     found in time polynomial in the degree and bit-size of U.
     """
     u = j.U
-    roots = sorted(_rational_roots(u))
+    roots = sorted(rational_roots(u))
     # deg U distinct roots: U splits into simple linear factors.  Else a
     # root is repeated or a factor is irreducible; meet the roots by height
     # (|num|, den, + before -), so that the repeated root an error names

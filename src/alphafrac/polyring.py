@@ -113,6 +113,27 @@ def _add(u, du, v, dv, sign):
     return _reduced(num, den, g)
 
 
+def _pseudo_divmod(u, v):
+    """(Q, R, lc^(k+1)) with lc^(k+1) u = Q v + R, for integer lists with
+    lc = v[-1] and k = len(u) - len(v) >= 0; R keeps len(v) - 1 entries."""
+    n, dq = len(v) - 1, len(u) - len(v)
+    lc = v[-1]
+    rem = list(u)
+    quot = [0] * (dq + 1)
+    for k in range(dq, -1, -1):
+        c = quot[k] = rem.pop()
+        if lc != 1:
+            rem = [lc * r for r in rem]
+        for j in range(n):
+            rem[k + j] -= c * v[j]
+    # Each later step scaled the quotient so far by lc once more.
+    scale = 1
+    for k in range(1, dq + 1):
+        scale *= lc
+        quot[k] *= scale
+    return quot, rem, scale * lc
+
+
 def _scalar(x):
     """(numerator, denominator) of a scalar, by as_fraction's type rule
     (an int that is not a bool, or a Fraction)."""
@@ -245,39 +266,22 @@ class Polynomial:
 
     def __truediv__(self, scalar):
         p, q = _scalar(scalar)
-        if not p and self._num:
+        if not p:
             raise ZeroDivisionError("polynomial division by zero")
         return self._scaled(q, p) if p >= 0 else self._scaled(-q, -p)
 
     def __divmod__(self, other):
-        """Exact long division by a nonzero polynomial.
-
-        Integer pseudo-division, lc^(k+1) u = Q v + R for v of leading
-        numerator lc and k = deg u - deg v, then one reduction of each part.
-        """
+        """Exact long division by a nonzero polynomial: integer
+        pseudo-division, then one reduction of each part."""
         other = self._coerce(other)
         v, dv = other._num, other._den
         if not v:
             raise ZeroDivisionError("polynomial division by zero")
         u, du = self._num, self._den
-        n, dq = len(v) - 1, len(u) - len(v)
-        if dq < 0:
+        if len(u) < len(v):
             return Polynomial(), self
-        lc = v[-1]
-        rem = list(u)
-        quot = [0] * (dq + 1)
-        for k in range(dq, -1, -1):
-            c = quot[k] = rem.pop()
-            if lc != 1:
-                rem = [lc * r for r in rem]
-            for j in range(n):
-                rem[k + j] -= c * v[j]
-        # Each later step scaled the quotient so far by lc once more.
-        scale = 1
-        for k in range(1, dq + 1):
-            scale *= lc
-            quot[k] *= scale
-        den = scale * lc * du
+        quot, rem, den = _pseudo_divmod(u, v)
+        den *= du
         if den < 0:
             den, dv = -den, -dv
             rem = [-r for r in rem]
@@ -405,3 +409,77 @@ def poly_sqrt(p: Polynomial):
         if acc:
             return None
     return _reduced(s, du, du)
+
+
+def _horner(cs, x):
+    acc = 0
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
+def _simple_roots_mod(f, q):
+    """The roots of f mod q, or None if one of them is multiple."""
+    fq = [c % q for c in f]
+    roots = [x for x in range(q) if _horner(fq, x) % q == 0]
+    dfq = [i * c for i, c in enumerate(fq)][1:]
+    return None if any(_horner(dfq, x) % q == 0 for x in roots) else roots
+
+
+def _squarefree(f):
+    """f / gcd(f, f') for a monic integer f, by the primitive PRS (Collins,
+    J. ACM 14 (1967)): each remainder is divided by its content.  The gcd
+    divides a monic f, so its lead is +-1."""
+    a, b = f, [i * c for i, c in enumerate(f)][1:]
+    while b:
+        g = math.gcd(*b)
+        b = [c // g for c in b]
+        a, b = b, _stripped(_pseudo_divmod(a, b)[1], 1)[0]
+    return _pseudo_divmod(f, a if a[-1] > 0 else [-c for c in a])[0]
+
+
+def rational_roots(p: Polynomial):
+    """The distinct rational roots of a monic polynomial, in no set order.
+
+    After Loos (SIAM J. Comput. 12 (1983)).  In lowest terms p = sum(num_i
+    x^i) / den, and its rational roots are y / den for the integer roots y
+    of the monic f with f_i = num_i den^(n-1-i).  At an odd prime q where
+    every root of f mod q is simple, each lifts by Newton steps mod q^(2^k)
+    to the one integer candidate within Cauchy's bound 1 + max|f_i|, a root
+    if f vanishes there.  f need not be squarefree: a root that is simple
+    mod q lifts to itself whatever else divides f.  The walk starts at the
+    least odd prime q >= n^2, as below n no q keeps n roots apart and below
+    n^2 two usually meet.  At the first q with a multiple root, f becomes
+    its squarefree part, once; then any q prime to its discriminant ends
+    the walk, so the work is polynomial in the degree and bit-size of p.
+    """
+    num, den = p._num, p._den
+    if not num or num[-1] != den:
+        raise ValueError("rational_roots needs a monic polynomial")
+    n = len(num) - 1
+    f = [c * den ** (n - 1 - i) for i, c in enumerate(num[:-1])] + [1]
+    q, squarefree, mod_q = max(3, n * n) | 1, False, None
+    while mod_q is None:
+        if any(q % d == 0 for d in range(3, math.isqrt(q) + 1, 2)):
+            q += 2
+        elif (mod_q := _simple_roots_mod(f, q)) is None:
+            if squarefree:
+                q += 2
+            else:
+                f, squarefree = _squarefree(f), True
+    df = [i * c for i, c in enumerate(f)][1:]
+    bound = 1 + max(map(abs, f[:-1]), default=0)
+    roots = []
+    for y in mod_q:
+        # inv is 1/f'(y) mod m, which is all a step to m^2 needs as
+        # f(y) = 0 mod m; it is lifted along with y by inv(2 - f'(y) inv).
+        m, inv = q, pow(_horner(df, y), -1, q)
+        while m <= 2 * bound:
+            m *= m
+            y = (y - _horner(f, y) * inv) % m
+            inv = inv * (2 - _horner(df, y) * inv) % m
+        if y > m // 2:
+            y -= m
+        if _horner(f, y) == 0:
+            roots.append(Fraction(y, den))
+    return roots

@@ -261,6 +261,34 @@ class TestOtherCommands:
         assert json.loads(err)["error"] == "PoleAtLambda"
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        [], ["act"], ["nope"], ["expand", "--bogus"],
+        # argparse reads -1/2 as an option; --lambda=-1/2 is the spelling.
+        ["residual", "--lambda", "-1/2"],
+    ], ids=["no-command", "act-without-word", "unknown-command",
+            "unknown-flag", "negative-lambda-as-option"])
+    def test_one_malformed_input_record(self, capsys, argv):
+        code, out, err = run(capsys, argv, SECT4_INPUT)
+        assert (code, out) == (2, None)
+        assert json.loads(err)["error"] == "MalformedInput"
+
+    def test_negative_lambda_with_equals(self, capsys):
+        triple = {k: SECT4_INPUT[k] for k in ("A", "B", "C")}
+        code, out, err = run(capsys, ["residual", "--lambda=-1/2"], triple)
+        assert (code, err) == (0, "")
+        assert out["residual"] <= 1e-9
+
+    @pytest.mark.parametrize("argv", [["--help"], ["act", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: alphafrac")
+        assert captured.err == ""
+
+
 class TestExampleCommand:
     def test_unknown_example(self, capsys):
         code, _, err = run(capsys, ["example", "--name", "nope"])

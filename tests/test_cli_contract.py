@@ -1,11 +1,13 @@
 """The CLI's contract on malformed input, for every subcommand.
 
 Each subcommand gets its golden payload with one to three mutations: wrong
-types, missing keys, junk rationals, wrong lengths.  Whatever the input,
-``main`` returns 0, 1 or 2 and writes exactly one JSON record: the result
-on stdout, or on stderr an error record whose name is a domain error from
-``alphafrac.errors`` (exit 1) or ``MalformedInput`` (exit 2).  No exception
-escapes.  hypothesis is test-only; without it this module is skipped.
+types, missing keys, junk rationals, wrong lengths; or its golden argv with
+one to three: a dropped argument, an unknown subcommand or an unknown flag.
+Whatever the input, ``main`` returns 0, 1 or 2 and writes exactly one JSON
+record: the result on stdout, or on stderr an error record whose name is a
+domain error from ``alphafrac.errors`` (exit 1) or ``MalformedInput``
+(exit 2).  No exception escapes.  hypothesis is test-only; without it this
+module is skipped.
 """
 import copy
 import io
@@ -56,6 +58,11 @@ JUNK = [None, True, 1.5, 0, 7, -3, 10 ** 30, "", "x", "0", "-1", "5/2",
         [], {}, ["1"], ["0", "0"], {"b0": "1"}]
 JUNK_TEXT = ["", "x", "0", "6", "1/0", "2/4", "1e400", "nope", "[]", "{}",
              "null", '["sigma:9"]', '["epspi", 1]', '"epspi"', "[[[]]]"]
+
+# Inserted into argv.  No --output, which would write a file, and no
+# prefix of --help, which exits 0 with usage text.
+JUNK_ARGS = ["--bogus", "-x", "--", "--word", "--lambda", "--input", "-1/2",
+             "nope"]
 
 DOMAIN_ERRORS = {
     obj.code for obj in vars(errors).values()
@@ -133,6 +140,21 @@ def mutated_requests(draw, argv, payload):
     return argv, payload
 
 
+@st.composite
+def mutated_argv(draw, argv):
+    argv = list(argv)
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["drop", "subcommand", "insert"]))
+        if op == "drop" and argv:
+            del argv[draw(st.integers(0, len(argv) - 1))]
+        elif op == "subcommand" and argv:
+            argv[0] = draw(st.sampled_from(JUNK_TEXT + JUNK_ARGS))
+        else:
+            argv.insert(draw(st.integers(0, len(argv))),
+                        draw(st.sampled_from(JUNK_ARGS)))
+    return argv
+
+
 @pytest.mark.parametrize("argv, payload", GOLDEN, ids=IDS)
 def test_golden_payload_succeeds(argv, payload):
     code, out, err = run_main(argv, payload)
@@ -145,3 +167,10 @@ def test_golden_payload_succeeds(argv, payload):
 @given(data=st.data())
 def test_mutated_payload_keeps_contract(argv, payload, data):
     assert_contract(*run_main(*data.draw(mutated_requests(argv, payload))))
+
+
+@pytest.mark.parametrize("argv, payload", GOLDEN, ids=IDS)
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(data=st.data())
+def test_mutated_argv_keeps_contract(argv, payload, data):
+    assert_contract(*run_main(data.draw(mutated_argv(argv)), payload))

@@ -89,6 +89,19 @@ class TestConstructorChecks:
         with pytest.raises(ValueError, match=message):
             AlphaTriple(*args)
 
+    @pytest.mark.parametrize("field", range(3))
+    def test_alpha_triple_fields_are_polynomials(self, field):
+        args = [self.A, self.B, self.C]
+        args[field] = list(args[field].coeffs)
+        with pytest.raises(TypeError,
+                           match="^%s must be a Polynomial" % "ABC"[field]):
+            AlphaTriple(*args)
+
+    def test_expansion_alpha_is_a_sequence(self):
+        with pytest.raises(TypeError,
+                           match="^alpha must be an AlphaSequence, got"):
+            Expansion(1, [1, 2, 3], [1, 3, 4])
+
     def test_expansion_block_length(self):
         with pytest.raises(ValueError,
                            match="block length must equal the period N"):

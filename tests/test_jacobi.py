@@ -20,8 +20,7 @@ from alphafrac import (
     jacobi_from_divisor,
     pure_beta_candidates,
 )
-from alphafrac.jacobi import _PRIME_LIMIT, _lifted_roots, _rational_roots
-from alphafrac.polyring import Polynomial
+from alphafrac.polyring import Polynomial, rational_roots
 
 from conftest import (
     divisor_reference,
@@ -66,6 +65,14 @@ class TestJacobiTriple:
         with pytest.raises(ValueError, match=message):
             JacobiTriple(u, P("-11/2"), w, R_SECT4)
 
+    @pytest.mark.parametrize("field", range(4))
+    def test_fields_are_polynomials(self, field):
+        args = [P("-6", "1"), P("-11/2"), P("5", "-7/4", "1"), R_SECT4]
+        args[field] = list(args[field].coeffs)
+        with pytest.raises(TypeError,
+                           match="^%s must be a Polynomial" % "UVWR"[field]):
+            JacobiTriple(*args)
+
 
 class TestFromDivisor:
     def test_genus1_point(self):
@@ -106,6 +113,11 @@ class TestFromDivisor:
     def test_point_must_be_a_pair(self, points, index):
         with pytest.raises(ValueError, match="^point %d " % index):
             jacobi_from_divisor(points, R_SECT4)
+
+    def test_point_is_not_a_dict(self):
+        # Indexed, a two-entry dict raised KeyError.
+        with pytest.raises(TypeError, match="^point 0 must be a pair"):
+            jacobi_from_divisor([{"lambda": 6, "mu": "-11/2"}], R_SECT4)
 
     def test_newton_pass_matches_lagrange(self):
         # U is the product of the x - lam_i and V the Lagrange interpolant,
@@ -223,18 +235,17 @@ class TestRootSearch:
             elif kind == 3:            # a repeated irreducible factor
                 u = u * x2p1 * x2p1
             corpus.append(u)
-        # Squarefree, yet every odd prime below the limit makes two roots
-        # of the integer form meet, so only the fallback finds them.
-        m = math.prod(p for p in range(3, _PRIME_LIMIT, 2)
+        # Squarefree, yet every odd prime below 64 makes two roots of the
+        # integer form meet, so the walk goes on past 64 after taking the
+        # squarefree part.
+        m = math.prod(p for p in range(3, 64, 2)
                       if all(p % q for q in range(3, p, 2)))
         c = rng.randint(-10 ** 6, 10 ** 6)
         forced = [Polynomial.from_roots([c, c + m]),
                   Polynomial.from_roots([F(c, 7), F(c, 7) + m, F(c, 7) - m]),
                   Polynomial.from_roots([0, m, 2 * m]) * x2p1]
-        for u in forced:
-            assert _lifted_roots(u, _PRIME_LIMIT) is None
         for u in corpus + forced:
-            assert sorted(_rational_roots(u)) == \
+            assert sorted(rational_roots(u)) == \
                 sorted(euclid_first_roots(u))
             g = u.degree
             v = random_polynomial(rng, g - 1) if g else Polynomial()

@@ -198,9 +198,11 @@ class TestRationalGrammar:
             "cannot combine polynomial with '" + "9" * 39)
 
     def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError,
-                           match="^polynomial division by zero$"):
-            Polynomial(["1", "2"]) / 0
+        # As Fraction(0) / 0 does, the zero polynomial raises too.
+        for p in Polynomial(["1", "2"]), Polynomial():
+            with pytest.raises(ZeroDivisionError,
+                               match="^polynomial division by zero$"):
+                p / 0
 
     @pytest.mark.parametrize("kind", [str, bytes, bytearray])
     def test_text_is_not_a_sequence(self, kind):

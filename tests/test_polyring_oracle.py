@@ -15,7 +15,12 @@ sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from alphafrac.polyring import Polynomial, poly_sqrt  # noqa: E402
+from alphafrac.polyring import (  # noqa: E402
+    Polynomial,
+    _squarefree,
+    poly_sqrt,
+    rational_roots,
+)
 
 X = sympy.Symbol("x")
 
@@ -163,3 +168,49 @@ def test_poly_sqrt(w):
         assert got is None
     else:
         agrees(got, want)
+
+
+# Monic factors over Z: random ones, and irreducible ones sympy cannot
+# split over Q.
+irreducible = st.sampled_from([[1, 0, 1], [-2, 0, 0, 1], [1, 1, 1],
+                               [3, 0, 1], [-5, 1, 0, 0, 1]])
+monic_int = st.lists(st.integers(-30, 30), max_size=3).map(
+    lambda cs: cs + [1])
+
+
+def int_coeffs(p):
+    return [int(c) for c in p.coeffs]
+
+
+@examples
+@given(monic_int, st.one_of(monic_int, irreducible), st.integers(1, 3))
+def test_squarefree_part(g, h, k):
+    # f = g h^(k+1): the squarefree part drops every repeated factor,
+    # including one g shares with h.
+    f = Polynomial(g)
+    for _ in range(k + 1):
+        f = f * Polynomial(h)
+    want = sympy.Poly(list(reversed(int_coeffs(f))), X, domain="ZZ")
+    want = [int(c) for c in reversed(want.sqf_part().all_coeffs())]
+    got = _squarefree(int_coeffs(f))
+    assert got == want or got == [-c for c in want]
+
+
+small_roots = st.builds(Fraction, st.integers(-10 ** 4, 10 ** 4),
+                        st.integers(1, 30))
+
+
+@examples
+@given(st.lists(small_roots, max_size=6),
+       st.lists(st.integers(0, 5), max_size=3),
+       st.lists(irreducible, max_size=2), st.booleans())
+def test_rational_roots(roots, repeats, factors, squared):
+    # Repeated rational roots and repeated irreducible factors, against
+    # the roots sympy finds by factoring over Q.
+    u = Polynomial.from_roots(roots + [roots[i] for i in repeats
+                                       if i < len(roots)])
+    for h in factors:
+        u = u * Polynomial(h) * (Polynomial(h) if squared else 1)
+    want = {as_fraction(r) for r in to_sympy(u).ground_roots()}
+    got = rational_roots(u)
+    assert len(got) == len(set(got)) and set(got) == want
