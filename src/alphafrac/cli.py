@@ -34,7 +34,6 @@ from .serialize import (
     divisor_to_json,
     expansion_from_json,
     expansion_to_json,
-    frac_from_json,
     frac_to_str,
     jacobi_from_json,
     jacobi_to_json,
@@ -87,8 +86,7 @@ def _cmd_orbit(payload, args):
 
 def _cmd_jacobi_to_triple(payload, args):
     j = jacobi_from_json(payload)
-    beta = frac_from_json(payload["beta"])
-    return triple_to_json(alpha_triple_from_jacobi(j, beta))
+    return triple_to_json(alpha_triple_from_jacobi(j, payload["beta"]))
 
 
 def _cmd_triple_to_jacobi(payload, args):
@@ -110,7 +108,7 @@ def _cmd_jacobi_to_divisor(payload, args):
 
 def _cmd_pure_beta(payload, args):
     j = jacobi_from_json(payload)
-    betas = pure_beta_candidates(j, frac_from_json(payload["alpha_n"]))
+    betas = pure_beta_candidates(j, payload["alpha_n"])
     return {"betas": [frac_to_str(b) for b in betas]}
 
 
@@ -123,7 +121,7 @@ def _cmd_verify(payload, args):
 def _cmd_residual(payload, args):
     triple = triple_from_json(payload)
     branch = +1 if args.branch == "+" else -1
-    res = numeric_residual(triple, frac_from_json(args.lam), branch)
+    res = numeric_residual(triple, args.lam, branch)
     return {"residual": res}
 
 

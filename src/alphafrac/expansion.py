@@ -24,7 +24,7 @@ from .errors import (
     PoleAtLambda,
     ResidueNotUnipotent,
 )
-from .polyring import Polynomial, as_fraction, not_text, poly_sqrt
+from .polyring import Polynomial, as_fraction, as_sequence, poly_sqrt
 
 
 class AlphaSequence:
@@ -33,8 +33,8 @@ class AlphaSequence:
     __slots__ = ("alphas", "_frak")
 
     def __init__(self, alphas):
-        a = tuple(as_fraction(x) for x in not_text(alphas))
-        if not a or len(a) % 2 == 0:
+        a = tuple(as_fraction(x) for x in as_sequence(alphas))
+        if len(a) % 2 == 0:
             raise ValueError("period must be odd: N = 2g + 1, N >= 1")
         if len(set(a)) != len(a):
             raise ValueError("shift parameters must be pairwise distinct")
@@ -91,7 +91,7 @@ class Expansion:
 
     def __init__(self, b0, block, alpha: AlphaSequence):
         self.b0 = as_fraction(b0)
-        self.block = tuple(as_fraction(b) for b in not_text(block))
+        self.block = tuple(as_fraction(b) for b in as_sequence(block))
         if not isinstance(alpha, AlphaSequence):
             raise TypeError("alpha must be an AlphaSequence, got %.40r"
                             % (alpha,))
@@ -154,7 +154,7 @@ class AlphaTriple:
             if not isinstance(p, Polynomial):
                 raise TypeError("%s must be a Polynomial, got %.40r"
                                 % (name, p))
-        if C.is_zero() or C.lead != -1:
+        if C.lead != -1:
             raise ValueError("C must be anti-monic")
         g = C.degree - 1
         if g < 0:
@@ -280,9 +280,10 @@ def factorize_transfer_matrix(m, alpha: AlphaSequence) -> Expansion:
                 "null vector has vanishing first component at step %d "
                 "(lambda = %s)" % (k, al))
         bs.append(b)
-        x_new, rx = (X - b * Z).synthetic_div(al)
+        # X - b Z vanishes at al by the choice of b; only Y - b W may not.
+        x_new = (X - b * Z).synthetic_div(al)[0]
         y_new, ry = (Y - b * W).synthetic_div(al)
-        if rx != 0 or ry != 0:
+        if ry != 0:
             raise FactorizationDegenerate(
                 "nonzero remainder dividing out (x - %s) at step %d"
                 % (al, k))

@@ -20,7 +20,7 @@ from .errors import (
     SpecialDivisor,
 )
 from .expansion import AlphaTriple
-from .polyring import (Polynomial, as_fraction, not_text, rational_roots,
+from .polyring import (Polynomial, as_fraction, as_sequence, rational_roots,
                        rational_sqrt)
 
 
@@ -39,7 +39,7 @@ class JacobiTriple:
             if not isinstance(p, Polynomial):
                 raise TypeError("%s must be a Polynomial, got %.40r"
                                 % (name, p))
-        if U.is_zero() or U.lead != 1:
+        if U.lead != 1:
             raise ValueError("U must be monic")
         g = U.degree
         if W.degree != g + 1 or W.lead != 1:
@@ -72,44 +72,46 @@ def jacobi_from_divisor(points, R: Polynomial) -> JacobiTriple:
     """Jacobi triple of a divisor given as g affine curve points.
 
     U = prod(x - lam_i), V interpolates V(lam_i) = mu_i, W = (R - V^2)/U;
-    U and V are built together in one Newton pass of O(g^2) coefficient
-    operations.  A point is a pair of rationals, never a string or a
-    dict, and has exactly two entries.
-    Conjugate point pairs and repeated abscissae are rejected; every point
-    must satisfy mu^2 = R(lambda).
+    U and V are built in one Newton pass of O(g^2) coefficient operations.
+    The points form a sequence and each is a pair of rationals, never text,
+    a dict or a set.  A point whose lam repeats meets U(lam) = 0 in the pass
+    and is named with the first earlier point of that lam, as conjugate or
+    as a repeated abscissa.  The division for W is exact iff every point
+    has mu^2 = R(lam).
     """
     pts = []
-    for i, p in enumerate(map(not_text, points)):
+    for i, p in enumerate(as_sequence(points)):
         if isinstance(p, dict):
             raise TypeError("point %d must be a pair (lambda, mu), got %.40r"
                             % (i, p))
-        if len(p) != 2:
+        if len(as_sequence(p)) != 2:
             raise ValueError("point %d must be a pair (lambda, mu), got %d "
                              "entries" % (i, len(p)))
         pts.append(CurvePoint(as_fraction(p[0]), as_fraction(p[1])))
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if pts[i].lam == pts[j].lam:
-                if pts[i].mu == -pts[j].mu:
-                    raise SpecialDivisor(
-                        "points %d and %d are conjugate under the "
-                        "hyperelliptic involution" % (i, j))
-                raise RepeatedAbscissa(
-                    "points %d and %d share lambda = %s"
-                    % (i, j, pts[i].lam))
-    for i, p in enumerate(pts):
-        if p.mu * p.mu != R(p.lam):
-            raise PointOffCurve(
-                "point %d: mu^2 = %s but R(%s) = %s"
-                % (i, p.mu * p.mu, p.lam, R(p.lam)))
     # U vanishes at the points met so far: adding a multiple of it to V
     # keeps V's values there.
     U, V = Polynomial([1]), Polynomial()
-    for lam, mu in pts:
-        V = V + U * ((mu - V(lam)) / U(lam))
+    for i, (lam, mu) in enumerate(pts):
+        u = U(lam)
+        if u == 0:
+            j = [p.lam for p in pts].index(lam)
+            if pts[j].mu == -mu:
+                raise SpecialDivisor(
+                    "points %d and %d are conjugate under the "
+                    "hyperelliptic involution" % (j, i))
+            raise RepeatedAbscissa(
+                "points %d and %d share lambda = %s" % (j, i, lam))
+        V = V + U * ((mu - V(lam)) / u)
         U = U * Polynomial.linear(lam)
-    # U divides R - V^2 as V(lam_i)^2 = R(lam_i); the constructor re-checks.
-    return JacobiTriple(U, V, divmod(R - V * V, U)[0], R)
+    # rest(lam_i) = R(lam_i) - mu_i^2 and deg rest < g, so rest = 0 exactly
+    # when every point is on the curve; the constructor re-checks.
+    W, rest = divmod(R - V * V, U)
+    if rest:
+        for i, (lam, mu) in enumerate(pts):
+            if mu * mu != R(lam):
+                raise PointOffCurve("point %d: mu^2 = %s but R(%s) = %s"
+                                    % (i, mu * mu, lam, R(lam)))
+    return JacobiTriple(U, V, W, R)
 
 
 def divisor_from_jacobi(j: JacobiTriple):
@@ -164,10 +166,10 @@ def pure_beta_candidates(j: JacobiTriple, alpha_n):
     single root W(a) / (2 V(a)).  Roots are returned plus-branch first.
     """
     a = as_fraction(alpha_n)
-    r = j.R(a)
+    u, v, w = j.U(a), j.V(a), j.W(a)
+    r = v * v + u * w  # R(a), as V^2 + U W = R
     if r == 0:
         raise RootOfR("alpha_N = %s is a root of R" % a)
-    u, v, w = j.U(a), j.V(a), j.W(a)
     if u == 0:
         # v = 0 too would force r = v^2 + u*w = 0, excluded above.
         return [w / (2 * v)]

@@ -37,30 +37,27 @@ def as_fraction(x) -> Fraction:
     raise ValueError(_BAD_RATIONAL % (x,))
 
 
-def not_text(xs):
+def as_sequence(xs):
     """xs, which stands for a sequence: of rationals, a point or a group word.
 
-    A str, bytes or bytearray raises TypeError: iterated, "12" would be the
-    rationals "1" and "2", b"12" the integers 49 and 50, and the word
-    "epspi" the letters "e", "p", ...
+    Text, a dict or a set raises TypeError: iterated, "12" would be the
+    rationals "1" and "2", b"12" the integers 49 and 50, the word "epspi"
+    the letters "e", "p", ..., a dict its keys and a set its hash order.
     """
-    if isinstance(xs, (str, bytes, bytearray)):
-        raise TypeError("expected a sequence, got the text %.40r" % (xs,))
+    if isinstance(xs, (str, bytes, bytearray, dict, set, frozenset)):
+        text = isinstance(xs, (str, bytes, bytearray))
+        kind = "text" if text else type(xs).__name__
+        raise TypeError("expected a sequence, got the %s %.40r" % (kind, xs))
     return xs
 
 
 def rational_sqrt(x: Fraction):
     """Exact square root of a rational, or None if x is not a square in Q.
 
-    The result is always >= 0.
+    The result is always >= 0: the constant term of poly_sqrt(x).
     """
-    if x < 0:
-        return None
-    n, d = x.numerator, x.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn != n or rd * rd != d:
-        return None
-    return Fraction(rn, rd)
+    s = poly_sqrt(Polynomial([x]))
+    return None if s is None else s.coeff(0)
 
 
 def _stripped(num, den):
@@ -162,7 +159,7 @@ class Polynomial:
     __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs=()):
-        cs = [as_fraction(c) for c in not_text(coeffs)]
+        cs = [as_fraction(c) for c in as_sequence(coeffs)]
         # The lcm of reduced denominators is coprime to the numerators.
         den = math.lcm(*[c.denominator for c in cs])
         self._num, self._den = _stripped(
@@ -177,7 +174,7 @@ class Polynomial:
     @classmethod
     def from_roots(cls, roots) -> "Polynomial":
         p = cls([1])
-        for r in not_text(roots):
+        for r in as_sequence(roots):
             p = p * cls.linear(r)
         return p
 
@@ -411,6 +408,10 @@ def poly_sqrt(p: Polynomial):
     return _reduced(s, du, du)
 
 
+def _derivative(f):
+    return [i * c for i, c in enumerate(f)][1:]
+
+
 def _horner(cs, x):
     acc = 0
     for c in reversed(cs):
@@ -422,7 +423,7 @@ def _simple_roots_mod(f, q):
     """The roots of f mod q, or None if one of them is multiple."""
     fq = [c % q for c in f]
     roots = [x for x in range(q) if _horner(fq, x) % q == 0]
-    dfq = [i * c for i, c in enumerate(fq)][1:]
+    dfq = _derivative(fq)
     return None if any(_horner(dfq, x) % q == 0 for x in roots) else roots
 
 
@@ -430,7 +431,7 @@ def _squarefree(f):
     """f / gcd(f, f') for a monic integer f, by the primitive PRS (Collins,
     J. ACM 14 (1967)): each remainder is divided by its content.  The gcd
     divides a monic f, so its lead is +-1."""
-    a, b = f, [i * c for i, c in enumerate(f)][1:]
+    a, b = f, _derivative(f)
     while b:
         g = math.gcd(*b)
         b = [c // g for c in b]
@@ -467,7 +468,7 @@ def rational_roots(p: Polynomial):
                 q += 2
             else:
                 f, squarefree = _squarefree(f), True
-    df = [i * c for i, c in enumerate(f)][1:]
+    df = _derivative(f)
     bound = 1 + max(map(abs, f[:-1]), default=0)
     roots = []
     for y in mod_q:

@@ -10,19 +10,17 @@ golden files can be compared verbatim.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .expansion import AlphaSequence, AlphaTriple, Expansion
 from .jacobi import CurvePoint, JacobiTriple
 from .polyring import Polynomial, as_fraction
-from .symmetry import OrbitResult
 
 
-def frac_to_str(x: Fraction) -> str:
+def frac_to_str(x) -> str:
     return str(x)
 
 
-def frac_from_json(data) -> Fraction:
+def frac_from_json(data):
     """A JSON integer, or a string "p" or "p/q" in lowest terms with q > 0.
 
     The grammar is polyring.as_fraction's; anything else, including
@@ -117,7 +115,7 @@ def divisor_from_json(data):
     return points, poly_from_json(data["R"])
 
 
-def orbit_to_json(result: OrbitResult) -> dict:
+def orbit_to_json(result) -> dict:
     return {
         "expansions": [expansion_to_json(e) for e in result.expansions],
         "complete": result.complete,

@@ -14,7 +14,7 @@ from collections import namedtuple
 
 from .errors import NotPure, ZeroPivot
 from .expansion import AlphaSequence, Expansion, expansion_to_triple
-from .polyring import not_text
+from .polyring import as_sequence
 
 
 def _permuted(seq: tuple, k) -> tuple:
@@ -87,11 +87,11 @@ def parse_word(letters, n: int):
     """Validate a group word given as ["sigma:1", "epspi", ...] tokens.
 
     A sigma letter is "sigma:" and an ASCII index without sign, space or
-    leading zero.  Returns the letters as sigma indices k, with None
-    standing for epspi.  A word given as one string raises TypeError.
+    leading zero.  Returns the letters as sigma indices k, None for epspi.
+    A word given as one string, a dict or a set raises TypeError.
     """
     parsed = []
-    for tok in not_text(letters):
+    for tok in as_sequence(letters):
         if tok == "epspi":
             parsed.append(None)
             continue

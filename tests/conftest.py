@@ -11,9 +11,11 @@ from alphafrac import (
     Expansion,
     IrrationalSupport,
     JacobiTriple,
+    PointOffCurve,
     RepeatedAbscissa,
+    SpecialDivisor,
 )
-from alphafrac.polyring import Polynomial
+from alphafrac.polyring import Polynomial, as_fraction
 
 
 @pytest.fixture
@@ -79,6 +81,37 @@ def lagrange(points):
                 term = term * Polynomial.linear(xj) / (xi - xj)
         total = total + term
     return total
+
+
+def three_pass_jacobi(points, R):
+    """Reference jacobi_from_divisor for points given as (lam, mu) pairs.
+
+    The validation as it stood before the Newton pass took it over: every
+    pair i < j scanned for a shared lambda, so the pair named is the
+    lexicographically least, then every point checked on the curve; then
+    U and V built from scratch by from_roots and lagrange.  The error
+    texts are the library's.
+    """
+    pts = [CurvePoint(as_fraction(lam), as_fraction(mu))
+           for lam, mu in points]
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if pts[i].lam == pts[j].lam:
+                if pts[i].mu == -pts[j].mu:
+                    raise SpecialDivisor(
+                        "points %d and %d are conjugate under the "
+                        "hyperelliptic involution" % (i, j))
+                raise RepeatedAbscissa(
+                    "points %d and %d share lambda = %s"
+                    % (i, j, pts[i].lam))
+    for i, p in enumerate(pts):
+        if p.mu * p.mu != R(p.lam):
+            raise PointOffCurve(
+                "point %d: mu^2 = %s but R(%s) = %s"
+                % (i, p.mu * p.mu, p.lam, R(p.lam)))
+    U = Polynomial.from_roots([p.lam for p in pts])
+    V = lagrange(pts)
+    return JacobiTriple(U, V, (R - V * V) // U, R)
 
 
 def euclid_first_roots(u):

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from conftest import (
     random_jacobi,
     random_polynomial,
     random_rational,
+    three_pass_jacobi,
 )
 
 
@@ -72,6 +74,51 @@ class TestJacobiTriple:
         with pytest.raises(TypeError,
                            match="^%s must be a Polynomial" % "UVWR"[field]):
             JacobiTriple(*args)
+
+
+def _divisor_outcome(fn, points, r):
+    try:
+        j = fn(points, r)
+    except (SpecialDivisor, RepeatedAbscissa, PointOffCurve,
+            ValueError) as exc:
+        return type(exc), str(exc)
+    return j.U, j.V, j.W
+
+
+def _mutated_divisor(rng):
+    """(points, R): g points of a curve built through them, then up to
+    three edits: a repeat, a conjugate, a shared lambda with a new mu, an
+    off-curve mu, a flip to the conjugate point (still valid), a drop."""
+    g = rng.randint(0, 6)
+    lams = []
+    while len(lams) < g:
+        lam = random_rational(rng, -20, 20, 5)
+        if lam not in lams:
+            lams.append(lam)
+    points = [(lam, random_rational(rng, -9, 9, 4)) for lam in lams]
+    w = random_polynomial(rng, g + 1, monic=True)
+    v = lagrange(points)
+    r = v * v + Polynomial.from_roots(lams) * w
+    for _ in range(rng.choice((0, 1, 1, 2, 3)) if g else 0):
+        t, s = rng.randrange(g), rng.randrange(g)
+        lam, mu = points[s]
+        kind = rng.choice(("repeat", "conjugate", "shared", "off", "flip",
+                           "drop"))
+        if kind == "repeat" and s != t:
+            points[t] = (lam, mu)
+        elif kind == "conjugate" and s != t:
+            points[t] = (lam, -mu)
+        elif kind == "shared" and s != t:
+            points[t] = (lam, mu + random_rational(rng, nonzero=True))
+        elif kind == "off":
+            points[t] = (points[t][0],
+                         points[t][1] + random_rational(rng, nonzero=True))
+        elif kind == "flip":
+            points[t] = (points[t][0], -points[t][1])
+        elif kind == "drop" and len(points) > 1:
+            del points[t]
+            g -= 1
+    return points, r
 
 
 class TestFromDivisor:
@@ -138,6 +185,56 @@ class TestFromDivisor:
                 w = random_polynomial(rng, g + 1, monic=True)
                 j = jacobi_from_divisor(points, v * v + u * w)
                 assert (j.U, j.V, j.W) == (u, v, w)
+
+
+    def test_one_pass_matches_three_pass_reference(self):
+        # Triples and error records equal the scan-first reference's.  Where
+        # two or more lambda values repeat, the reference names the least
+        # pair (i, j); the pass names the first point whose lambda repeats,
+        # with the first earlier point of that lambda.
+        rng = random.Random(97)
+        kinds = Counter()
+        for _ in range(2400):
+            points, r = _mutated_divisor(rng)
+            got = _divisor_outcome(jacobi_from_divisor, points, r)
+            want = _divisor_outcome(three_pass_jacobi, points, r)
+            kinds[got[0] if isinstance(got[0], type) else "ok"] += 1
+            lams = [lam for lam, _ in points]
+            if sum(lams.count(lam) > 1 for lam in set(lams)) <= 1:
+                assert got == want
+                continue
+            i = next(i for i, lam in enumerate(lams) if lam in lams[:i])
+            j = lams.index(lams[i])
+            if points[j][1] == -points[i][1]:
+                text = ("points %d and %d are conjugate under the "
+                        "hyperelliptic involution" % (j, i))
+                assert got == (SpecialDivisor, text)
+            else:
+                text = "points %d and %d share lambda = %s" % (j, i, lams[i])
+                assert got == (RepeatedAbscissa, text)
+            assert want[0] in (SpecialDivisor, RepeatedAbscissa)
+        assert min(kinds.values()) >= 100, kinds
+        assert set(kinds) == {"ok", SpecialDivisor, RepeatedAbscissa,
+                              PointOffCurve, ValueError}
+
+    def test_error_names_first_repeat(self):
+        # [a, b, b, a]: the scan over pairs would name points 0 and 3.
+        r = Polynomial.from_roots([0, 1, 2, 3, 4])  # genus 2
+        points = [(5, 10), (6, 1), (6, 1), (5, 10)]
+        with pytest.raises(RepeatedAbscissa,
+                           match="^points 1 and 2 share lambda = 6$"):
+            jacobi_from_divisor(points, r)
+        with pytest.raises(SpecialDivisor, match="^points 0 and 2 are "):
+            jacobi_from_divisor([(5, 10), (6, 1), (5, -10), (6, 1)], r)
+
+    def test_off_curve_names_first_point(self):
+        # Checked once the W division leaves a remainder, after repeats.
+        r = R_SECT4 * Polynomial.from_roots([7, 8])  # genus 2
+        with pytest.raises(PointOffCurve) as info:
+            jacobi_from_divisor([(1, 2), (6, 1), (7, 3)], r)
+        assert str(info.value).startswith("point 0: mu^2 = 4 but R(1) = ")
+        with pytest.raises(RepeatedAbscissa):
+            jacobi_from_divisor([(1, 2), (6, 1), (1, 3)], r)
 
 
 class TestToDivisor:

@@ -71,7 +71,7 @@ def check_against_sympy(j):
             divisor_from_jacobi(j)
         assert str(info.value) == "U has the repeated root %s" % least
     elif len(found) < j.U.degree:
-        rest = u.exquo(to_sympy(Polynomial.from_roots(found)))
+        rest = u.exquo(to_sympy(Polynomial.from_roots(list(found))))
         with pytest.raises(IrrationalSupport) as info:
             divisor_from_jacobi(j)
         assert str(info.value) == \

@@ -59,6 +59,9 @@ CALLS = {
     "jacobi_from_divisor.points": lambda x: jacobi_from_divisor(x, R),
     "jacobi_from_divisor.point": lambda x: jacobi_from_divisor([x], R),
     "jacobi_from_divisor.mu": lambda x: jacobi_from_divisor([(6, x)], R),
+    # The repeat is met in the Newton pass, before R is read.
+    "jacobi_from_divisor.R.repeat": lambda x: jacobi_from_divisor(
+        [(6, "-11/2"), (6, 1)], x),
     "jacobi_from_divisor.R": lambda x: jacobi_from_divisor(
         [(6, "-11/2")], x),
     "apply_word": lambda x: apply_word(E, x),

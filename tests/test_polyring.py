@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from alphafrac.polyring import (
     poly_sqrt,
     rational_sqrt,
 )
+from alphafrac.symmetry import parse_word
 
 from conftest import random_polynomial, random_rational
 
@@ -88,6 +90,24 @@ class TestSqrt:
         assert rational_sqrt(Fraction(2)) is None
         assert rational_sqrt(Fraction(-1)) is None
         assert rational_sqrt(Fraction(0)) == 0
+
+    def test_rational_sqrt_matches_isqrt_reference(self):
+        # The former formula: an exact isqrt of numerator and denominator.
+        def reference(x):
+            if x < 0:
+                return None
+            rn, rd = math.isqrt(x.numerator), math.isqrt(x.denominator)
+            if rn * rn != x.numerator or rd * rd != x.denominator:
+                return None
+            return Fraction(rn, rd)
+
+        rng = random.Random(101)
+        for _ in range(20000):
+            x = Fraction(rng.randint(-10 ** 12, 10 ** 12),
+                         rng.randint(1, 10 ** 12))
+            if rng.random() < 0.5:
+                x = x * x * rng.choice((1, 1, 1, -1, 2, 0))
+            assert rational_sqrt(x) == reference(x)
 
     def test_admissibility_square(self):
         # x^2/4 - 7x/2 + 49/4 = ((x-7)/2)^2
@@ -222,6 +242,31 @@ class TestRationalGrammar:
         # R(1) = 4, so "12" read as a point would be (1, 2) on the curve.
         with pytest.raises(TypeError):
             jacobi_from_divisor([text("12")], P("3", "0", "0", "1"))
+
+    @pytest.mark.parametrize("name, kind", [("dict", dict.fromkeys),
+                                            ("set", set),
+                                            ("frozenset", frozenset)])
+    def test_unordered_is_not_a_sequence(self, name, kind):
+        # A dict is read by its keys, and a set's order changes with
+        # PYTHONHASHSEED: Polynomial({"1/2", "3", "-7"}) was a different
+        # polynomial under each seed.
+        def refused(fn, xs):
+            with pytest.raises(TypeError) as info:
+                fn(kind(xs))
+            assert str(info.value).startswith(
+                "expected a sequence, got the %s " % name)
+
+        refused(Polynomial, ["1/2", "3", "-7"])
+        refused(Polynomial.from_roots, ["1/2", "3", "-7"])
+        refused(AlphaSequence, [1, 3, 4])
+        refused(lambda b: Expansion(1, b, AlphaSequence([1, 3, 4])),
+                [-3, 1, 3])
+        refused(lambda w: parse_word(w, 3), ["sigma:1", "epspi"])
+        refused(lambda pts: jacobi_from_divisor(pts, P("3", "0", "0", "1")),
+                [(1, 2)])
+        # A dict point has its own text, "point 0 must be a pair ...".
+        with pytest.raises(TypeError):
+            jacobi_from_divisor([kind([1, 2])], P("3", "0", "0", "1"))
 
     def test_value_quoted_to_40_characters(self):
         with pytest.raises(ValueError) as info:
