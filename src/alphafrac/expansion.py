@@ -237,7 +237,8 @@ def admissible_decompose(R: Polynomial, alpha: AlphaSequence) -> Polynomial:
     if R.degree != n or R.lead != 1:
         raise NotMonic("R must be monic of degree N = %d" % n)
     s = poly_sqrt(R - alpha.vanishing_poly())
-    if s is None or s.degree > g:
+    # R and prod are monic of degree N, so any root of R - prod has deg <= g.
+    if s is None:
         raise NotAdmissible(
             "R - prod(x - alpha_i) is not the square of a polynomial "
             "of degree <= %d" % g)
@@ -362,6 +363,8 @@ def numeric_residual(t: AlphaTriple, lambda0, branch: int = +1) -> float:
     a = t.A(lam)
     if a == 0:
         raise PoleAtLambda("A(%s) = 0" % lam)
+    if not isinstance(branch, int) or isinstance(branch, bool):
+        raise TypeError("branch must be an int, got %.40r" % (branch,))
     if branch not in (+1, -1):
         raise ValueError("branch must be +1 or -1")
     b = t.B(lam)

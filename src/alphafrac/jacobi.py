@@ -73,21 +73,21 @@ def jacobi_from_divisor(points, R: Polynomial) -> JacobiTriple:
 
     U = prod(x - lam_i), V interpolates V(lam_i) = mu_i, W = (R - V^2)/U;
     U and V are built in one Newton pass of O(g^2) coefficient operations.
-    The points form a sequence and each is a pair of rationals, never text,
-    a dict or a set.  A point whose lam repeats meets U(lam) = 0 in the pass
-    and is named with the first earlier point of that lam, as conjugate or
-    as a repeated abscissa.  The division for W is exact iff every point
-    has mu^2 = R(lam).
+    The points form a sequence of pairs of rationals, not text, dicts or
+    sets; a malformed point raises TypeError or ValueError naming its index.
+    A point whose lam repeats meets U(lam) = 0 in the pass and is named with
+    the first earlier point of that lam, as conjugate or as a repeated
+    abscissa.  The division for W is exact iff every point has mu^2 = R(lam).
     """
     pts = []
     for i, p in enumerate(as_sequence(points)):
-        if isinstance(p, dict):
-            raise TypeError("point %d must be a pair (lambda, mu), got %.40r"
-                            % (i, p))
-        if len(as_sequence(p)) != 2:
-            raise ValueError("point %d must be a pair (lambda, mu), got %d "
-                             "entries" % (i, len(p)))
-        pts.append(CurvePoint(as_fraction(p[0]), as_fraction(p[1])))
+        try:
+            lam, mu = as_sequence(p)
+        except (TypeError, ValueError) as exc:
+            cls = TypeError if isinstance(exc, TypeError) else ValueError
+            raise cls("point %d must be a pair (lambda, mu), got %.40r"
+                      % (i, p)) from None
+        pts.append(CurvePoint(as_fraction(lam), as_fraction(mu)))
     # U vanishes at the points met so far: adding a multiple of it to V
     # keeps V's values there.
     U, V = Polynomial([1]), Polynomial()

@@ -343,30 +343,24 @@ class Polynomial:
         return self._den == other._den and self._num == other._num
 
     def __hash__(self):
+        # A constant hashes like the rational it equals (see __eq__).
+        if len(self._num) <= 1:
+            return hash(self.coeff(0))
         return hash((self._num, self._den))
 
     def __repr__(self):
         return "Polynomial(%s)" % (list(map(str, self.coeffs)),)
 
     def __str__(self):
-        if not self._num:
-            return "0"
-        coeffs = self.coeffs
-        parts = []
-        for k in range(len(coeffs) - 1, -1, -1):
-            c = coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                term = str(abs(c))
-            else:
-                mag = "" if abs(c) == 1 else "%s*" % abs(c)
-                term = "%sx" % mag if k == 1 else "%sx^%d" % (mag, k)
-            if not parts:
-                parts.append(term if c > 0 else "-" + term)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + term)
-        return " ".join(parts)
+        d, parts = self._den, []
+        for k in range(len(self._num) - 1, -1, -1):
+            c = self._num[k]
+            if c:
+                x = "" if k == 0 else "x" if k == 1 else "x^%d" % k
+                m = "" if x and abs(c) == d else str(Fraction(abs(c), d))
+                sign = ("+ " if c > 0 else "- ") if parts else "-" * (c < 0)
+                parts.append(sign + (m + "*" + x if m and x else m + x))
+        return " ".join(parts) or "0"
 
 
 def poly_sqrt(p: Polynomial):

@@ -133,6 +133,8 @@ def orbit(e: Expansion, pure: bool = False) -> OrbitResult:
     coincide.  The key determines the element because the alpha-fraction
     of a fixed phi over a fixed shift order is unique.
     """
+    if not isinstance(pure, bool):
+        raise TypeError("pure must be a bool, got %.40r" % (pure,))
     if pure and not e.is_pure:
         raise NotPure("pure orbit requested for a non-pure expansion")
     max_k = e.n - 2 if pure else e.n - 1

@@ -83,6 +83,32 @@ def lagrange(points):
     return total
 
 
+def reference_str(p):
+    """Reference str(Polynomial): the text built from the Fraction coeffs.
+
+    Highest degree first, m*x^k with m = |c| left out when it is 1, a
+    leading "-", "+ " or "- " between terms, "0" for the zero polynomial.
+    """
+    coeffs = p.coeffs
+    if not coeffs:
+        return "0"
+    parts = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if c == 0:
+            continue
+        if k == 0:
+            term = str(abs(c))
+        else:
+            mag = "" if abs(c) == 1 else "%s*" % abs(c)
+            term = "%sx" % mag if k == 1 else "%sx^%d" % (mag, k)
+        if not parts:
+            parts.append(term if c > 0 else "-" + term)
+        else:
+            parts.append(("+ " if c > 0 else "- ") + term)
+    return " ".join(parts)
+
+
 def three_pass_jacobi(points, R):
     """Reference jacobi_from_divisor for points given as (lam, mu) pairs.
 

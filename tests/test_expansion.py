@@ -407,6 +407,12 @@ class TestNumericResidual:
         with pytest.raises(ValueError, match="branch must be"):
             numeric_residual(sect4_triple, 0, branch)
 
+    @pytest.mark.parametrize("branch", [True, False, 1.0, -1.0, "1", None])
+    def test_branch_must_be_an_int(self, sect4_triple, branch):
+        # True == 1 and 1.0 == 1 would pass the test of the value.
+        with pytest.raises(TypeError, match="^branch must be an int"):
+            numeric_residual(sect4_triple, 0, branch)
+
     def test_outside_float_range(self, sect4_triple):
         # A(lambda) overflows a float, or underflows to 0.0 next to its root
         for lam in (10 ** 400, 6 + F(1, 10 ** 400)):

@@ -166,6 +166,14 @@ class TestFromDivisor:
         with pytest.raises(TypeError, match="^point 0 must be a pair"):
             jacobi_from_divisor([{"lambda": 6, "mu": "-11/2"}], R_SECT4)
 
+    @pytest.mark.parametrize("point", [
+        {6, "-11/2"}, frozenset([6, 1]), "6", b"61", 6, None, F(6)])
+    def test_malformed_point_names_its_index(self, point):
+        # Whichever check refuses the point, the text names its index.
+        with pytest.raises(TypeError, match=r"^point 1 must be a pair "
+                                            r"\(lambda, mu\), got "):
+            jacobi_from_divisor([(6, F(-11, 2)), point], R_SECT4)
+
     def test_newton_pass_matches_lagrange(self):
         # U is the product of the x - lam_i and V the Lagrange interpolant,
         # at genus 0 to 10 and abscissae of mixed height.

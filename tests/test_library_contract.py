@@ -2,9 +2,11 @@
 
 JSON-shaped junk goes into each argument of the public constructors and of
 the entry points that take rationals, sequences, words, indices or flags,
-the others being valid.  Whatever the junk, the call returns or raises an
-``AlphaFractionError``, ``ValueError`` or ``TypeError``; nothing else, such
-as an ``AttributeError`` or ``IndexError``, escapes.  Entry points that take
+the others being valid.  Valid rationals are drawn as well, so that an
+argument that takes one reaches the domain code behind the parse.  Whatever
+the junk, the call returns or raises an ``AlphaFractionError``,
+``ValueError`` or ``TypeError``; nothing else, such as an
+``AttributeError`` or ``IndexError``, escapes.  Entry points that take
 only typed objects (``expand``, ``verify_expansion``) are duck-typed and out
 of scope.  hypothesis is test-only; without it this module is skipped.
 """
@@ -82,12 +84,19 @@ scalars = st.one_of(
     st.text(max_size=6),
     st.sampled_from(["5/2", "-0", "1/0", "2/4", "1.5", "1e400", " 3",
                      "sigma:1", "sigma:9", "epspi", "9" * 60]))
-junk = st.recursive(
+# Valid rationals, so that a rational argument also reaches the code behind
+# the parse: 6 is the root of U and A, where pure_beta_candidates takes its
+# linear case and A(lambda) = 0; -11/2 is V and 1, 3, 4 are the shifts.
+rationals = st.one_of(
+    st.sampled_from([6, "6", "-11/2", 1, 3, "4", 0]),
+    st.integers(-10 ** 6, 10 ** 6),
+    st.fractions(max_denominator=10 ** 6).map(str))
+junk = st.one_of(rationals, st.recursive(
     scalars,
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.dictionaries(st.text(max_size=3), children, max_size=3)),
-    max_leaves=8)
+    max_leaves=8))
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))

@@ -14,7 +14,7 @@ from alphafrac.polyring import (
 )
 from alphafrac.symmetry import parse_word
 
-from conftest import random_polynomial, random_rational
+from conftest import random_polynomial, random_rational, reference_str
 
 
 def P(*coeffs):
@@ -67,6 +67,52 @@ class TestRingOps:
         assert q * P("-3", "1") == P("-12", "19", "-8", "1")
         _, rem2 = P("1", "1").synthetic_div(2)
         assert rem2 == 3
+
+
+class TestText:
+    @pytest.mark.parametrize("coeffs, text", [
+        ([], "0"),
+        ([0], "0"),
+        (["-3/2"], "-3/2"),
+        ([1, 0, -1], "-x^2 + 1"),
+        ([0, -1], "-x"),
+        (["7/2", "-3/2"], "-3/2*x + 7/2"),
+        ([-2, 4, -1], "-x^2 + 4*x - 2"),
+        ([0, 0, 0, 1, "1/3"], "1/3*x^4 + x^3"),
+    ])
+    def test_examples(self, coeffs, text):
+        assert str(Polynomial(coeffs)) == text
+
+    def test_matches_fraction_reference(self):
+        # 20,000 seeded polynomials: zero, constants, +-1 coefficients,
+        # sparse ones, and numerators and denominators up to 10^40.
+        rng = random.Random(15)
+        heights = [(3, 3), (1, 1), (10 ** 12, 10 ** 6), (10 ** 40, 10 ** 33)]
+        for _ in range(20000):
+            num_h, den_h = rng.choice(heights)
+            coeffs = [0] * rng.randint(0, 7)
+            for k in range(len(coeffs)):
+                r = rng.random()
+                if r < 0.25:
+                    coeffs[k] = rng.choice([1, -1])
+                elif r < 0.7:
+                    coeffs[k] = Fraction(rng.randint(-num_h, num_h),
+                                         rng.randint(1, den_h))
+            p = Polynomial(coeffs)
+            assert str(p) == reference_str(p)
+            assert str(-p) == reference_str(-p)
+
+
+class TestHash:
+    @pytest.mark.parametrize("c", [0, 1, Fraction(-3, 2)])
+    def test_constant_hashes_like_its_rational(self, c):
+        p = Polynomial([c])
+        scalars = [c, Fraction(c)] if isinstance(c, int) else [c]
+        for x in scalars:
+            assert p == x and hash(p) == hash(x)
+            assert len({p, x}) == 1
+            assert {x: "value"}[p] == "value"
+            assert {p: "value"}[x] == "value"
 
 
 class TestEval:
@@ -264,8 +310,8 @@ class TestRationalGrammar:
         refused(lambda w: parse_word(w, 3), ["sigma:1", "epspi"])
         refused(lambda pts: jacobi_from_divisor(pts, P("3", "0", "0", "1")),
                 [(1, 2)])
-        # A dict point has its own text, "point 0 must be a pair ...".
-        with pytest.raises(TypeError):
+        # A point's text names its index instead.
+        with pytest.raises(TypeError, match="^point 0 must be a pair"):
             jacobi_from_divisor([kind([1, 2])], P("3", "0", "0", "1"))
 
     def test_value_quoted_to_40_characters(self):

@@ -246,6 +246,13 @@ class TestOrbit:
         with pytest.raises(NotPure):
             orbit(SECT4, pure=True)
 
+    @pytest.mark.parametrize("pure", ["no", None, [], 0, 1, 1.0])
+    def test_pure_must_be_a_bool(self, pure):
+        # Read as a truth value, a non-bool would pick the mode silently.
+        e = make(1, [1, 1, 1], [0, 1, 2])
+        with pytest.raises(TypeError, match="^pure must be a bool"):
+            orbit(e, pure=pure)
+
     def test_zero_pivot_edges_reported(self):
         e = make(1, [0, 1, 2], [1, 3, 4])
         result = orbit(e)
