@@ -19,7 +19,6 @@ from .errors import (
     PointOffCurve,
     PoleAtLambda,
     RepeatedAbscissa,
-    ResidueNotUnipotent,
     RootOfR,
     SpecialDivisor,
     UnknownExample,

@@ -27,10 +27,6 @@ class FactorizationDegenerate(AlphaFractionError):
     """Matrix factorization hit the codimension-1 degenerate locus."""
 
 
-class ResidueNotUnipotent(AlphaFractionError):
-    """Internal consistency failure: peeling residue is not [[1, u], [0, 1]]."""
-
-
 class NotPure(AlphaFractionError):
     """Pure-periodic operation applied where C(alpha_N) != 0."""
 

@@ -22,7 +22,6 @@ from .errors import (
     NotMonic,
     NotPure,
     PoleAtLambda,
-    ResidueNotUnipotent,
 )
 from .polyring import Polynomial, as_fraction, as_sequence, poly_sqrt
 
@@ -260,41 +259,45 @@ def factorize_transfer_matrix(m, alpha: AlphaSequence) -> Expansion:
     """Peel the transfer matrix into elementary factors, recovering b_0..b_N.
 
     m is the 4-tuple (X, Y, Z, W) of build_transfer_matrix, the matrix
-    [[X, Y], [Z, W]].  At step k the factor coefficient is X/Z at
-    alpha_{k+1}, or Y/W when Z and X vanish there; Y and W are evaluated
-    only then.  Each peel divides out (x - alpha_{k+1}) exactly; the final
-    residue must be the unipotent [[1, b_N - b_0], [0, 1]].  A successful
-    peel thus proves det M = -prod(x - alpha_i); a matrix with any other
-    determinant, e.g. one built from a wrong half-trace, raises
-    FactorizationDegenerate or ResidueNotUnipotent.
+    [[X, Y], [Z, W]].  Only the first column is peeled, as Thiele's
+    continued fraction of X/Z: at step k the factor coefficient is X/Z at
+    alpha_{k+1}, or Y/W when X and Z both vanish there.  One check after
+    the loop, deg X, Z, W <= g, deg Y <= g + 1, det M = -prod(x - alpha_i)
+    and Z monic, makes the second column peel exactly, to the residue
+    [[1, b_N - b_0], [0, 1]]; so b_N - b_0 is Y/X at alpha_N (W/Z where X
+    vanishes).  A matrix that fails the check, e.g. one built from a wrong
+    half-trace, raises FactorizationDegenerate naming the failed condition.
     """
     X, Y, Z, W = m
+    alphas = alpha.alphas
     bs = []
-    for k, al in enumerate(alpha.alphas):
-        x, z = X(al), Z(al)
-        if z != 0:
-            b = x / z
-        elif x == 0 and (w := W(al)) != 0:
-            b = Y(al) / w
-        else:
+    p, q = X, Z
+    for k, al in enumerate(alphas):
+        x, z = p(al), q(al)
+        if x == 0 and z == 0:
+            # (Y, W) peeled k times, at al, by the scalar recurrence.
+            x, z = Y(al), W(al)
+            for a, c in zip(alphas, bs):
+                x, z = z, (x - c * z) / (al - a)
+        if z == 0:
             raise FactorizationDegenerate(
                 "null vector has vanishing first component at step %d "
                 "(lambda = %s)" % (k, al))
+        b = x / z
         bs.append(b)
-        # X - b Z vanishes at al by the choice of b; only Y - b W may not.
-        x_new = (X - b * Z).synthetic_div(al)[0]
-        y_new, ry = (Y - b * W).synthetic_div(al)
-        if ry != 0:
-            raise FactorizationDegenerate(
-                "nonzero remainder dividing out (x - %s) at step %d"
-                % (al, k))
-        X, Y, Z, W = Z, W, x_new, y_new
-    if X != 1 or W != 1 or not Z.is_zero() or Y.degree > 0:
-        raise ResidueNotUnipotent(
-            "residue after peeling is not [[1, u], [0, 1]]")
-    u = Y.coeff(0)
-    block = tuple(bs[1:]) + (u + bs[0],)
-    return Expansion(bs[0], block, alpha)
+        p, q = q, (p - b * q).synthetic_div(al)[0]
+    g = alpha.genus
+    if max(X.degree, Z.degree, W.degree) > g or Y.degree > g + 1:
+        raise FactorizationDegenerate(
+            "deg X, Z or W > %d or deg Y > %d" % (g, g + 1))
+    if X * W - Y * Z != -alpha.vanishing_poly():
+        raise FactorizationDegenerate("det M != -prod(x - alpha_i)")
+    if Z.lead != 1:
+        raise FactorizationDegenerate("Z is not monic")
+    al = alphas[-1]
+    x = X(al)
+    u = Y(al) / x if x != 0 else W(al) / Z(al)
+    return Expansion(bs[0], tuple(bs[1:]) + (u + bs[0],), alpha)
 
 
 def expand(t: AlphaTriple, alpha: AlphaSequence):

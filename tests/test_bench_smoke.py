@@ -1,6 +1,7 @@
 """The benchmark harness runs end to end on tiny inputs.
 
-Checks the form of its result only, with no timing gate.  Seed 0 keeps the
+Checks the form of its result and that every output passed the workload's
+own correctness check, with no timing gate.  Seed 0 keeps the
 run from overwriting recorded results in bench/out/.
 """
 import json
@@ -8,10 +9,14 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def run_tiny(workload):
+@pytest.mark.parametrize(
+    "workload", ["expand_roundtrip", "jacobi_roundtrip", "orbit_closure"])
+def test_run_tiny(workload):
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", "0", "--seconds", "0", "--tiny", "--trace", "0"],
@@ -22,11 +27,3 @@ def run_tiny(workload):
     assert result["correct"] is True
     assert result["failed"] == 0
     assert set(result["metrics"]) == {m["name"] for m in spec["end_to_end"]}
-
-
-def test_jacobi_roundtrip_tiny():
-    run_tiny("jacobi_roundtrip")
-
-
-def test_orbit_closure_tiny():
-    run_tiny("orbit_closure")

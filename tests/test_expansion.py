@@ -13,7 +13,6 @@ from alphafrac import (
     NotMonic,
     NotPure,
     PoleAtLambda,
-    ResidueNotUnipotent,
     admissible_decompose,
     build_transfer_matrix,
     convergents,
@@ -40,6 +39,11 @@ def F(*args):
 def det(m):
     X, Y, Z, W = m
     return X * W - Y * Z
+
+
+def matmul(m, n):
+    (a, b, c, d), (e, f, g, h) = m, n
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
 def perturbed(rng, p):
@@ -204,9 +208,10 @@ class TestTransferMatrix:
 
     def test_mismatched_trace(self, sect4_triple, sect4_alpha):
         # T^2 + prod(x - alpha_i) != B^2 - AC for T = 1; the peel rejects it.
-        with pytest.raises(FactorizationDegenerate):
+        with pytest.raises(FactorizationDegenerate) as info:
             factorize_transfer_matrix(
                 build_transfer_matrix(sect4_triple, P("1")), sect4_alpha)
+        assert str(info.value) == "det M != -prod(x - alpha_i)"
 
 
 class TestFactorize:
@@ -233,7 +238,7 @@ class TestFactorize:
             factorize_transfer_matrix(m, AlphaSequence([1, 3, 5]))
 
     def test_wrong_determinant_rejected_by_peel(self):
-        # A peel that succeeds proves det M = -prod(x - alpha_i), so a
+        # The peel checks det M = -prod(x - alpha_i) once it is done, so a
         # perturbed matrix with any other determinant must be rejected,
         # whether one entry or the half-trace T was perturbed; for T the
         # determinant is B^2 - AC - T^2.
@@ -254,15 +259,53 @@ class TestFactorize:
                     if det(m) == -e.alpha.vanishing_poly():
                         continue
                     wrong[kind] += 1
-                    with pytest.raises((FactorizationDegenerate,
-                                        ResidueNotUnipotent)):
+                    with pytest.raises(FactorizationDegenerate):
                         factorize_transfer_matrix(m, e.alpha)
         assert min(wrong.values()) >= 200
 
+    def test_entry_degree_too_high(self):
+        # A unipotent factor [[1, p], [0, 1]] or [[1, 0], [p, 1]] with p of
+        # positive degree keeps det M but lifts an entry above its degree
+        # bound, on either side of M.
+        rng = random.Random(31)
+        one, zero = P(1), P()
+        for n in (1, 3, 5, 7):
+            g = (n - 1) // 2
+            for _ in range(20):
+                e = random_expansion(rng, n)
+                m = build_transfer_matrix(*expansion_to_triple(e))
+                p = Polynomial([random_rational(rng, nonzero=True)
+                                for _ in range(rng.randint(2, 3))])
+                for u in ((one, p, zero, one), (one, zero, p, one)):
+                    for bad in (matmul(m, u), matmul(u, m)):
+                        assert det(bad) == -e.alpha.vanishing_poly()
+                        with pytest.raises(FactorizationDegenerate) as info:
+                            factorize_transfer_matrix(bad, e.alpha)
+                        assert str(info.value) == (
+                            "deg X, Z or W > %d or deg Y > %d" % (g, g + 1))
+
+    def test_z_not_monic(self):
+        # M [[c, v], [0, 1/c]] keeps det M and every entry degree, and its
+        # first column peels to the same b_i as M's, but to (c, 0) at the
+        # end: it is the transfer matrix of no expansion.
+        rng = random.Random(37)
+        for n in (1, 3, 5):
+            for _ in range(10):
+                e = random_expansion(rng, n)
+                m = build_transfer_matrix(*expansion_to_triple(e))
+                c = random_rational(rng, nonzero=True)
+                if c == 1:
+                    continue
+                v = random_rational(rng)
+                bad = matmul(m, (P(c), P(v), P(), P(1 / c)))
+                with pytest.raises(FactorizationDegenerate) as info:
+                    factorize_transfer_matrix(bad, e.alpha)
+                assert str(info.value) == "Z is not monic"
+
 
 class TestPeelZeroPivot:
-    """Step 0 with Z(alpha_1) = 0: b_0 = Y/W there if X vanishes too,
-    otherwise the peel stops with a null-vector error."""
+    """A step whose Z vanishes at its shift: b = Y/W there if X vanishes
+    too, otherwise the peel stops with a null-vector error."""
 
     # For N = 3, Z = A = Q_2 = x - alpha_2 + b_1 b_2, so b_1 b_2 = 2 puts
     # the root of Z at alpha_1 = 1 on both branches.
@@ -278,6 +321,20 @@ class TestPeelZeroPivot:
     def test_y_over_w(self):
         # X(1) = Z(1) = 0, so b_0 = Y(1)/W(1) = -15/-3
         assert factorize_transfer_matrix(self.PLUS, self.E.alpha) == self.E
+
+    def test_y_over_w_after_step_0(self):
+        # Peeled twice, X and Z both vanish at alpha_3 = 2, so b_2 is Y/W
+        # there, with (Y, W) at 2 from the scalar recurrence of steps 0, 1.
+        e = make_expansion(-1, [-1] * 5, [0, 1, 2, 3, 5])
+        triple, half_trace = expansion_to_triple(e)
+        m = build_transfer_matrix(triple, half_trace)
+        assert m == (P(2, 5, -3), P(10, -7, -4, 1),
+                     P(-2, -1, 1), P(-10, 12, -2))
+        X, _, Z, _ = m
+        for b, al in ((-1, 0), (-1, 1)):
+            X, Z = Z, (X - b * Z).synthetic_div(al)[0]
+        assert X(2) == Z(2) == 0
+        assert factorize_transfer_matrix(m, e.alpha) == e
 
     @pytest.mark.parametrize("m, alphas, lam", [
         # the conjugate branch: X(1) = 3

@@ -10,6 +10,7 @@ from alphafrac.polyring import (
     Polynomial,
     as_fraction,
     poly_sqrt,
+    rational_roots,
     rational_sqrt,
 )
 from alphafrac.symmetry import parse_word
@@ -128,6 +129,15 @@ class TestEval:
         # (864 - 1116 + 372 + 1)/4 = 121/4
         p = P("1/4", "31/2", "-31/4", "1")
         assert p(6) == Fraction(121, 4)
+
+
+class TestRationalRoots:
+    @pytest.mark.parametrize("p", [
+        P(), P("2"), P("1", "2"), P("1", "0", "-1"), P("0", "0", "1/2")])
+    def test_not_monic(self, p):
+        with pytest.raises(ValueError,
+                           match="^rational_roots needs a monic polynomial$"):
+            rational_roots(p)
 
 
 class TestSqrt:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -498,3 +499,21 @@ class TestGroupAgainstPeel:
             assert x == (minus if e == plus else plus)
             checked += 1
         assert checked >= 50
+
+    def test_orbit_is_both_peels_over_every_shift_order(self):
+        # The Z_2 x S_N action reorders the shifts and flips the branch, so
+        # a complete orbit is the set of both peels of its triple over all
+        # N! orders of the shifts; this runs the peel on every permutation.
+        rng = random.Random(73)
+        checked = {3: 0, 5: 0}
+        for n in (3,) * 16 + (5,) * 22:
+            e = seeded_expansion(rng, n, 0)
+            result = orbit(e)
+            if not result.complete:
+                continue
+            t = expansion_to_triple(e)[0]
+            assert set(result.expansions) == {
+                x for order in itertools.permutations(e.alpha.alphas)
+                for x in expand(t, AlphaSequence(order))}
+            checked[n] += 1
+        assert min(checked.values()) >= 15
