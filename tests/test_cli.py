@@ -1,3 +1,4 @@
+import io
 import json
 import os
 
@@ -182,6 +183,16 @@ class TestOtherCommands:
         assert code == 0
         assert len(out["expansions"]) == 12
         assert out["complete"] is True
+
+    def test_orbit_matches_golden_bytes(self, capsys, monkeypatch):
+        # N = 5 with zero b_i: 168 elements, 72 skipped edges, and pairs
+        # of one shift order whose branch-1 element sorts first as well
+        # as pairs whose branch-0 element does.
+        payload = {"b0": "1/2", "block": ["0", "-1", "4", "-1", "-2"],
+                   "alpha": ["1", "3", "2", "-4", "-1"]}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+        assert main(["orbit"]) == 0
+        assert capsys.readouterr().out == golden_text("orbit-n5")
 
     def test_orbit_pure_rejects_non_pure(self, capsys):
         code, _, err = run(capsys, ["orbit", "--pure"], SECT4_EXPANSION)
