@@ -11,29 +11,17 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
+from fractions import Fraction
+from operator import itemgetter
 
 from .errors import NotPure, ZeroPivot
 from .expansion import AlphaSequence, Expansion, expansion_to_triple
 from .polyring import as_sequence
 
 
-def _permuted(seq: tuple, k) -> tuple:
-    """The shift order after sigma_k (k None: after epspi).
-
-    sigma_k swaps entries k and k+1 (1-based), epspi reverses.  The
-    generators apply it to the alphas and orbit to their ranks.
-    """
-    if k is None:
-        return seq[::-1]
-    return seq[:k - 1] + (seq[k], seq[k - 1]) + seq[k + 1:]
-
-
-def _pivot(e: Expansion, k: int):
-    """b_k, the divisor of sigma_k; ZeroPivot if it is 0."""
-    pivot = e.block[k - 1]
-    if pivot == 0:
-        raise ZeroPivot("sigma_%d undefined: b_%d = 0" % (k, k))
-    return pivot
+def _zero_pivot(k: int) -> ZeroPivot:
+    """The error of sigma_k at b_k = 0, where it is undefined."""
+    return ZeroPivot("sigma_%d undefined: b_%d = 0" % (k, k))
 
 
 def apply_sigma(e: Expansion, k: int) -> Expansion:
@@ -47,12 +35,20 @@ def apply_sigma(e: Expansion, k: int) -> Expansion:
     if not isinstance(k, int) or isinstance(k, bool):
         raise TypeError("sigma index must be an int, not %s"
                         % type(k).__name__)
-    n = e.n
+    b0, block = e.b0, list(e.block)
+    n = len(block)
     if not 1 <= k <= n - 1:
         raise ValueError("sigma index must satisfy 1 <= k <= N-1")
+    pivot = block[k - 1]
+    if not pivot:
+        raise _zero_pivot(k)
     alphas = e.alpha.alphas
-    delta = (alphas[k] - alphas[k - 1]) / _pivot(e, k)
-    b0, block = e.b0, list(e.block)
+    a, c = alphas[k - 1], alphas[k]
+    # delta = (c - a) / pivot from the integer parts, normalized once.
+    delta = Fraction(
+        (c.numerator * a.denominator - a.numerator * c.denominator)
+        * pivot.denominator,
+        c.denominator * a.denominator * pivot.numerator)
     if k == 1:
         b0 += delta
         block[-1] += delta
@@ -65,7 +61,8 @@ def apply_sigma(e: Expansion, k: int) -> Expansion:
     # Images of a validated expansion: Fractions throughout, and the
     # shifts are a permutation of distinct ones, so nothing is re-checked.
     return Expansion._from_checked(
-        b0, tuple(block), AlphaSequence._from_checked(_permuted(alphas, k)))
+        b0, tuple(block), AlphaSequence._from_checked(
+            alphas[:k - 1] + (c, a) + alphas[k + 1:]))
 
 
 def apply_eps_pi(e: Expansion) -> Expansion:
@@ -77,7 +74,7 @@ def apply_eps_pi(e: Expansion) -> Expansion:
     block = tuple(-b for b in e.block[-2::-1]) + (-b_last,)
     return Expansion._from_checked(
         e.b0 - b_last, block,
-        AlphaSequence._from_checked(_permuted(e.alpha.alphas, None)))
+        AlphaSequence._from_checked(e.alpha.alphas[::-1]))
 
 
 _SIGMA = re.compile(r"sigma:([1-9][0-9]*)")
@@ -127,46 +124,64 @@ def orbit(e: Expansion, pure: bool = False) -> OrbitResult:
     Zero-pivot edges are recorded and skipped, not fatal.  Expansions come
     back in canonical order: lexicographic on (alpha order, b_0, block).
 
-    Each image is keyed by (order, branch) and built only if the key is
-    new: order is the ranks of its shifts, branch the parity of its epspi
-    steps, kept at 0 when the half-trace is 0 as both branches then
-    coincide.  The key determines the element because the alpha-fraction
-    of a fixed phi over a fixed shift order is unique.
+    Each image is keyed by its shift order and branch, and built only if
+    the key is new.  A key is one flat tuple: the ranks of the shifts, then
+    (branch, 1 - branch).  The branch is the parity of the epspi steps,
+    kept at 0 when the half-trace is 0 as both branches then coincide.  The
+    key determines the element because the alpha-fraction of a fixed phi
+    over a fixed shift order is unique.
     """
     if not isinstance(pure, bool):
         raise TypeError("pure must be a bool, got %.40r" % (pure,))
     if pure and not e.is_pure:
         raise NotPure("pure orbit requested for a non-pure expansion")
-    max_k = e.n - 2 if pure else e.n - 1
-    # sigma_1 .. sigma_max_k, then epspi as in parse_word; only a sigma
-    # divides, so only a sigma edge can be skipped.
-    generators = list(range(1, max_k + 1)) + ([] if pure else [None])
-    flip = 0 if pure or expansion_to_triple(e)[1].is_zero() else 1
+    n = e.n
+    flip = not pure and not expansion_to_triple(e)[1].is_zero()
+    # The generators' moves on keys, sigmas by index, then epspi, as in
+    # parse_word.  sigma_k swaps ranks k and k+1; epspi reverses the ranks
+    # and swaps the branch pair when the branches differ.  A key has
+    # N + 2 >= 3 entries, so every getter returns a tuple.
+    places = list(range(n + 2))
+    sigmas = []
+    for k in range(1, n - 1 if pure else n):
+        swap = places[:]
+        swap[k - 1:k + 1] = k, k - 1
+        sigmas.append((k, itemgetter(*swap)))
+    eps_pi = None if pure else itemgetter(
+        *places[n - 1::-1], *((n + 1, n) if flip else (n, n + 1)))
     rank = {a: i for i, a in enumerate(sorted(e.alpha.alphas))}
-    start = (tuple(rank[a] for a in e.alpha.alphas), 0)
+    start = tuple(rank[a] for a in e.alpha.alphas) + (0, 1)
     seen = {start: e}
     frontier = [start]
     skipped = []
     while frontier:
         nxt = []
-        for order, branch in frontier:
-            cur = seen[order, branch]
-            for k in generators:
-                if k is not None:
-                    try:
-                        _pivot(cur, k)
-                    except ZeroPivot as exc:
-                        skipped.append(
-                            SkippedEdge(cur, "sigma:%d" % k, str(exc)))
-                        continue
-                key = (_permuted(order, k),
-                       branch if k is not None else branch ^ flip)
-                if key not in seen:
-                    seen[key] = (apply_eps_pi(cur) if k is None
-                                 else apply_sigma(cur, k))
-                    nxt.append(key)
+        for key in frontier:
+            cur = seen[key]
+            block = cur.block
+            for k, move in sigmas:
+                if not block[k - 1]:  # only a sigma divides
+                    skipped.append(
+                        SkippedEdge(cur, "sigma:%d" % k, str(_zero_pivot(k))))
+                    continue
+                img = move(key)
+                if img not in seen:
+                    seen[img] = apply_sigma(cur, k)
+                    nxt.append(img)
+            if eps_pi is not None:
+                img = eps_pi(key)
+                if img not in seen:
+                    seen[img] = apply_eps_pi(cur)
+                    nxt.append(img)
         frontier = nxt
-    ordered = sorted(seen.items(), key=lambda kv: (kv[0][0], kv[1].b0,
-                                                   kv[1].block))
-    return OrbitResult(tuple(img for _, img in ordered), not skipped,
-                       tuple(skipped))
+    # Ranks order like the shifts, so sorted keys are in canonical shift
+    # order, with the two branches of one order side by side, branch 0
+    # first; each such pair is then put in (b_0, block) order.
+    keys = sorted(seen)
+    ordered = [seen[key] for key in keys]
+    for i in range(1, len(keys)):
+        if keys[i][n] and keys[i - 1][:n] == keys[i][:n]:
+            a, b = ordered[i - 1], ordered[i]
+            if (b.b0, b.block) < (a.b0, a.block):
+                ordered[i - 1:i + 1] = b, a
+    return OrbitResult(tuple(ordered), not skipped, tuple(skipped))

@@ -78,6 +78,21 @@ class TestAlphaSequence:
             P("-12", "19", "-8", "1")
 
 
+class TestRepr:
+    def test_alpha_sequence(self):
+        assert repr(AlphaSequence([1, "-3/2", 4])) == \
+            "AlphaSequence(['1', '-3/2', '4'])"
+
+    def test_expansion(self):
+        e = make_expansion("-1/5", [F(-5, 2), F(6, 5), F(3, 10)], [1, 3, 4])
+        assert repr(e) == "[-1/5; -5/2, 6/5, 3/10]_(1, 3, 4)"
+
+    def test_alpha_triple(self):
+        t = AlphaTriple(P("-6", "1"), P("7/2", "-3/2"), P("-2", "4", "-1"))
+        assert repr(t) == \
+            "AlphaTriple(A=x - 6, B=-3/2*x + 7/2, C=-x^2 + 4*x - 2)"
+
+
 class TestConstructorChecks:
     A, B, C = P("-6", "1"), P("7/2", "-3/2"), P("-2", "4", "-1")
 

@@ -67,6 +67,12 @@ class TestJacobiTriple:
         with pytest.raises(ValueError, match=message):
             JacobiTriple(u, P("-11/2"), w, R_SECT4)
 
+    def test_repr(self):
+        j = JacobiTriple(P("-6", "1"), P("-11/2"), P("5", "-7/4", "1"),
+                         R_SECT4)
+        assert repr(j) == ("JacobiTriple(U=x - 6, V=-11/2, W=x^2 - 7/4*x + 5,"
+                           " R=x^3 - 31/4*x^2 + 31/2*x + 1/4)")
+
     @pytest.mark.parametrize("field", range(4))
     def test_fields_are_polynomials(self, field):
         args = [P("-6", "1"), P("-11/2"), P("5", "-7/4", "1"), R_SECT4]

@@ -84,6 +84,13 @@ class TestText:
     def test_examples(self, coeffs, text):
         assert str(Polynomial(coeffs)) == text
 
+    @pytest.mark.parametrize("coeffs, text", [
+        ([], "Polynomial([])"),
+        (["1/2", 0, -3], "Polynomial(['1/2', '0', '-3'])"),
+    ])
+    def test_repr(self, coeffs, text):
+        assert repr(Polynomial(coeffs)) == text
+
     def test_matches_fraction_reference(self):
         # 20,000 seeded polynomials: zero, constants, +-1 coefficients,
         # sparse ones, and numerators and denominators up to 10^40.

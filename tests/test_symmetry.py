@@ -25,11 +25,12 @@ from alphafrac import (
     jacobi_from_divisor,
     orbit,
 )
+from alphafrac import symmetry
 from alphafrac.polyring import Polynomial, rational_sqrt
 from alphafrac.serialize import canonical_dumps, orbit_to_json
 from alphafrac.symmetry import SkippedEdge, parse_word
 
-from conftest import random_expansion
+from conftest import random_expansion, random_rational
 
 
 def F(*args):
@@ -351,18 +352,36 @@ class TestOrbitAgainstValueKeyedBFS:
     @staticmethod
     def same_record(e, pure=False):
         got = orbit(e, pure=pure)
-        want, _ = value_keyed_orbit(e, pure=pure)
+        want, parity = value_keyed_orbit(e, pure=pure)
         assert canonical_dumps(orbit_to_json(got)) == \
             canonical_dumps(orbit_to_json(want))
-        return got
+        return got, parity
 
     def test_seeded_corpus(self):
+        # The two branches of one shift order sort by (b_0, block), so
+        # either may come first; a sort on (order, branch) alone would
+        # get the pairs whose branch-1 element is smaller wrong.
         incomplete = pure_count = 0
+        first = {0: 0, 1: 0}
         for e, pure in orbit_corpus(47, 60):
-            got = self.same_record(e, pure)
+            got, parity = self.same_record(e, pure)
             incomplete += not got.complete
             pure_count += pure
+            for x, y in zip(got.expansions, got.expansions[1:]):
+                if x.alpha == y.alpha:
+                    first[parity[x.key()]] += 1
         assert incomplete >= 10 and pure_count >= 10
+        assert min(first.values()) >= 400
+
+    def test_n7_with_zero_pivots(self):
+        e = seeded_expansion(random.Random(80), 7, 0.15)
+        got, _ = self.same_record(e)
+        assert (len(got.expansions), len(got.skipped_edges)) == (9792, 288)
+
+    def test_pure_n7(self):
+        e = seeded_expansion(random.Random(80), 7, 0.15, pure=True)
+        got, _ = self.same_record(e, pure=True)
+        assert (len(got.expansions), len(got.skipped_edges)) == (684, 36)
 
     def test_zero_half_trace(self):
         # Both branches are one expansion, so a complete orbit has N!
@@ -373,7 +392,7 @@ class TestOrbitAgainstValueKeyedBFS:
         for n in (1, 3, 3, 3, 5, 5, 5, 5):
             for e in zero_trace_expansions(rng, n):
                 assert expansion_to_triple(e)[1].is_zero()
-                got = self.same_record(e)
+                got, _ = self.same_record(e)
                 if got.complete:
                     assert len(got.expansions) == math.factorial(n)
                     complete += 1
@@ -454,6 +473,28 @@ class TestGeneratorsAgainstReference:
         assert {(3, 1), (3, 2), (5, 1), (5, 4), (3, "zero"),
                 (5, "zero")} <= cases
 
+    def test_sigma_on_rational_shifts(self):
+        # Shifts p/q, so delta's integer parts have denominators other
+        # than 1; pivots of both signs; every k, including the two b_N
+        # special cases k = 1 and k = N - 1.
+        rng = random.Random(83)
+        grid = sorted({F(p, q) for q in (1, 2, 3, 5, 7) for p in range(-9, 10)})
+        signs, dens = set(), set()
+        images = 0
+        for _ in range(90):
+            for n in (3, 5, 7):
+                alphas = rng.sample(grid, n)
+                e = make(random_rational(rng),
+                         [random_rational(rng, nonzero=True) for _ in range(n)],
+                         alphas)
+                dens.update(a.denominator for a in alphas)
+                for k in range(1, n):
+                    assert apply_sigma(e, k) == reference_sigma(e, k)
+                    signs.add(e.block[k - 1] > 0)
+                    images += 1
+        assert images == 1080
+        assert signs == {True, False} and dens == {1, 2, 3, 5, 7}
+
     def test_images_equal_validated_rebuild(self):
         # The generators skip re-validation; every image must still be
         # what the public constructors would build, all Fractions.
@@ -469,6 +510,25 @@ class TestGeneratorsAgainstReference:
                 assert all(type(v) is Fraction for v in values)
                 elements += 1
         assert elements >= 2500
+
+
+class TestOrbitCallsTheGenerators:
+    def test_one_generator_call_per_new_element(self, monkeypatch):
+        # Every image comes from the module-level apply_sigma or
+        # apply_eps_pi, which a tracer may wrap, and only for a key not
+        # seen before: the start is the one element not built.
+        calls = []
+        for name in ("apply_sigma", "apply_eps_pi"):
+            real = getattr(symmetry, name)
+            monkeypatch.setattr(
+                symmetry, name,
+                lambda *args, _real=real: calls.append(1) or _real(*args))
+        orbits = 0
+        for result in corpus_orbits():
+            assert len(calls) == len(result.expansions) - 1
+            calls.clear()
+            orbits += 1
+        assert orbits >= 60
 
 
 class TestGroupAgainstPeel:
