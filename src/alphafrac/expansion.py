@@ -23,7 +23,14 @@ from .errors import (
     NotPure,
     PoleAtLambda,
 )
-from .polyring import Polynomial, as_fraction, as_sequence, poly_sqrt
+from .polyring import (
+    Polynomial,
+    _convergent_step,
+    _peel_step,
+    as_fraction,
+    as_sequence,
+    poly_sqrt,
+)
 
 
 class AlphaSequence:
@@ -201,9 +208,10 @@ def _convergent_pairs(e: Expansion):
     yield last
     for k in range(1, n + 1):
         b = e.block[k - 1] if k < n else e.bn_star
-        a = Polynomial.linear(alphas[k - 1])
-        prev, last = last, ConvergentPair(b * last.P + a * prev.P,
-                                          b * last.Q + a * prev.Q)
+        al = alphas[k - 1]
+        prev, last = last, ConvergentPair(
+            _convergent_step(b, last.P, al, prev.P),
+            _convergent_step(b, last.Q, al, prev.Q))
         yield last
 
 
@@ -285,7 +293,7 @@ def factorize_transfer_matrix(m, alpha: AlphaSequence) -> Expansion:
                 "(lambda = %s)" % (k, al))
         b = x / z
         bs.append(b)
-        p, q = q, (p - b * q).synthetic_div(al)[0]
+        p, q = q, _peel_step(p, b, q, al)
     g = alpha.genus
     if max(X.degree, Z.degree, W.degree) > g or Y.degree > g + 1:
         raise FactorizationDegenerate(

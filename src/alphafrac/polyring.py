@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import zip_longest
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 _BAD_RATIONAL = ("rational must be an integer or a string \"p\" or "
@@ -79,18 +80,39 @@ def _make(num, den):
 
 
 def _reduced(num, den, g):
-    """_make(num, den) once a common factor of the list num and g | den is
-    divided out, in place.
+    """_make(num, den) once h = gcd(g, *num) is divided out, for a list num
+    and g | den.
 
     g must hold every prime that can divide both den and the content of
-    num; the gcd stops as soon as it reaches 1.
+    num.  One gcd with num[0] bounds h.  A bound of more than 64 bits gets
+    one divmod pass, where a nonzero remainder r lowers h to gcd(h, r) and
+    rescales the quotients found so far: one long division per coefficient
+    both tests and divides, where a gcd chain and a division pass take two.
+    A bound of at most 64 bits gets the chain, whose short divisions in C
+    cost less than a step of the pass.  Once h is 1, num is taken as it is.
     """
-    g = math.gcd(g, *num)
-    if g > 1:
-        for i, c in enumerate(num):
-            num[i] = c // g
-        den //= g
-    return _make(num, den)
+    if not num:
+        return _make(num, den)
+    h = math.gcd(g, num[0])
+    if h == 1:
+        return _make(num, den)
+    if h.bit_length() <= 64:
+        h = math.gcd(h, *num)
+        if h == 1:
+            return _make(num, den)
+        return _make([c // h for c in num], den // h)
+    out = []
+    for c in num:
+        q, r = divmod(c, h)
+        if r:
+            g = math.gcd(h, r)
+            if g == 1:
+                return _make(num, den)
+            m, h = h // g, g
+            out = [a * m for a in out]
+            q = q * m + r // h
+        out.append(q)
+    return _make(out, den // h)
 
 
 def _add(u, du, v, dv, sign):
@@ -129,6 +151,32 @@ def _pseudo_divmod(u, v):
         scale *= lc
         quot[k] *= scale
     return quot, rem, scale * lc
+
+
+def _horner_div(num, r, s):
+    """(quot, rem, sk) with num = (x - r/s) quot / (sk/s) + rem / sk, for a
+    nonempty integer list num, r/s in lowest terms and sk = s^(len(num)-1).
+
+    Homogeneous Horner: the j-th partial sum from the top is s^j times the
+    quotient's coefficient of x^(n-2-j), so one scaling puts them all over
+    s^(n-2) (over 1 when s = 1).  For len(num) = 1, quot is empty and
+    sk // s may be 0, a denominator that _make drops with the zero
+    polynomial.
+    """
+    acc, sk, quot = 0, 1, []
+    for c in reversed(num):
+        acc = acc * r + c * sk
+        quot.append(acc)
+        sk *= s
+    sk //= s
+    rem = quot.pop()
+    quot.reverse()
+    if s > 1:
+        sj = 1
+        for k in range(1, len(quot)):
+            sj *= s
+            quot[k] *= sj
+    return quot, rem, sk
 
 
 def _scalar(x):
@@ -296,25 +344,10 @@ class Polynomial:
         alpha = as_fraction(alpha)
         if not self._num:
             return Polynomial(), Fraction(0)
-        # Homogeneous Horner at alpha = r/s: out[j] is s^j du times the
-        # quotient's coefficient of x^(n-1-j), and out[n] is s^n du times
-        # the remainder.
-        r, s = alpha.numerator, alpha.denominator
-        acc, sk, out = 0, 1, []
-        for c in reversed(self._num):
-            acc = acc * r + c * sk
-            out.append(acc)
-            sk *= s
-        sk //= s
-        rem = Fraction(out.pop(), self._den * sk)
-        out.reverse()
-        if s > 1:
-            sk = 1
-            for k in range(1, len(out)):
-                sk *= s
-                out[k] *= sk
-        den = self._den * sk
-        return _reduced(out, den, den), rem
+        s = alpha.denominator
+        quot, rem, sk = _horner_div(self._num, alpha.numerator, s)
+        den = self._den * (sk // s)
+        return _reduced(quot, den, den), Fraction(rem, self._den * sk)
 
     def __call__(self, x) -> Fraction:
         """Exact Horner evaluation at a rational point."""
@@ -361,6 +394,68 @@ class Polynomial:
                 sign = ("+ " if c > 0 else "- ") if parts else "-" * (c < 0)
                 parts.append(sign + (m + "*" + x if m and x else m + x))
         return " ".join(parts) or "0"
+
+
+def _times(b, u, du):
+    """(n, v, d) with b u/du = n v/d in lowest terms, for a rational b and
+    lowest-terms u/du: b's numerator is cancelled against du and its
+    denominator against the content of u, as in __mul__."""
+    bn, bd = b.numerator, b.denominator
+    g = math.gcd(bn, du)
+    if g > 1:
+        bn, du = bn // g, du // g
+    g = math.gcd(bd, *u)
+    if g > 1:
+        u, bd = [c // g for c in u], bd // g
+    return bn, u, bd * du
+
+
+def _convergent_step(b, p1, alpha, p0):
+    """b p1 + (x - alpha) p0, for rationals b and alpha, in one pass.
+
+    A step of the convergent recurrence.  Each product is put in lowest
+    terms before it is formed: b p1 by _times, and (x - alpha) p0 =
+    (s x - r) v / (s d2) for alpha = r/s by cancelling s against the
+    content of v, as s x - r is primitive.  The sum then needs one
+    reduction against the gcd of the two denominators, as in _add.
+    """
+    bn, u, d1 = _times(b, p1._num, p1._den)
+    r, s = alpha.numerator, alpha.denominator
+    v, d2 = p0._num, p0._den
+    if s > 1:
+        g = math.gcd(s, *v)
+        if g > 1:
+            v = [c // g for c in v]
+        d2 *= s // g
+    g = math.gcd(d1, d2)
+    t, w = d2 // g, d1 // g
+    bn *= t
+    # (s x - r) v, then one multiplication by w per coefficient.
+    y = [s * a - r * c for a, c in zip([0, *v], [*v, 0])] if v else []
+    num = [a * bn + c * w for a, c in zip_longest(u, y, fillvalue=0)]
+    return _reduced(num, d1 * t, g)
+
+
+def _peel_step(p, b, q, alpha):
+    """The quotient of p - b q by x - alpha, for rationals b and alpha, in
+    one pass; the remainder is dropped.
+
+    A step of the transfer matrix's peel.  b q is put in lowest terms by
+    _times; the difference is divided by homogeneous Horner before any
+    reduction, and the quotient is reduced once.
+    """
+    u, d1 = p._num, p._den
+    bn, v, d2 = _times(b, q._num, q._den)
+    g = math.gcd(d1, d2)
+    t, w = d2 // g, d1 // g
+    bn *= w
+    num = [a * t - c * bn for a, c in zip_longest(u, v, fillvalue=0)]
+    if not num:
+        return Polynomial()
+    s = alpha.denominator
+    quot, _, sk = _horner_div(num, alpha.numerator, s)
+    den = d1 * t * (sk // s)
+    return _reduced(quot, den, den)
 
 
 def poly_sqrt(p: Polynomial):

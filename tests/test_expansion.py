@@ -397,6 +397,33 @@ class TestExpand:
         assert t_minus == -t_plus
 
 
+class TestHighHeight:
+    """The conjugate branch of a generic N = 21 expansion, whose b_i have
+    about 600 bits: the golden examples stop at N = 5, so this is where the
+    fused convergent and peel steps of polyring meet large heights."""
+
+    def test_conjugate_branch(self):
+        rng = random.Random(2101)
+        alpha = AlphaSequence(rng.sample(range(-42, 43), 21))
+        e = Expansion(random_rational(rng),
+                      [random_rational(rng, nonzero=True) for _ in range(21)],
+                      alpha)
+        t, T = expansion_to_triple(e)
+        plus, minus = expand(t, alpha)
+        conj = minus if plus == e else plus
+        assert e in (plus, minus) and conj != e
+        assert max(b.denominator for b in conj.block).bit_length() > 500
+        assert expansion_to_triple(conj) == (t, -T)
+        # The recurrence by the public operators, one product at a time.
+        want = [(P(1), Polynomial()), (P(conj.b0), P(1))]
+        bs = conj.block[:-1] + (conj.bn_star,)
+        for b, al in zip(bs, alpha.alphas):
+            (p0, q0), (p1, q1) = want[-2:]
+            a = Polynomial.linear(al)
+            want.append((b * p1 + a * p0, b * q1 + a * q0))
+        assert [tuple(pair) for pair in convergents(conj)] == want
+
+
 class TestPureExpand:
     def test_pure_n3(self):
         triple = AlphaTriple(P("0", "1"), P("-1", "-1/2"), P("2", "1", "-1"))

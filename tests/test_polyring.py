@@ -8,6 +8,7 @@ import pytest
 from alphafrac import AlphaSequence, Expansion, jacobi_from_divisor
 from alphafrac.polyring import (
     Polynomial,
+    _reduced,
     as_fraction,
     poly_sqrt,
     rational_roots,
@@ -68,6 +69,71 @@ class TestRingOps:
         assert q * P("-3", "1") == P("-12", "19", "-8", "1")
         _, rem2 = P("1", "1").synthetic_div(2)
         assert rem2 == 3
+
+
+def reduced_pair(num, den, g):
+    p = _reduced(list(num), den, g)
+    return p._num, p._den
+
+
+def divided_pair(num, den, g):
+    """num / den with gcd(g, *num) divided out, by the definition."""
+    h = math.gcd(g, *num)
+    num = [c // h for c in num]
+    while num and not num[-1]:
+        num.pop()
+    return tuple(num), (den // h if num else 1)
+
+
+# A prime of 89 bits: h above 64 bits takes the divmod pass, h below the
+# gcd chain.
+K = 2 ** 89 - 1
+
+
+class TestReduced:
+    """_reduced divides by gcd(g, *num), which it bounds by gcd(g, num[0])
+    and finds by a gcd chain (h of at most 64 bits) or by the remainders of
+    one divmod pass."""
+
+    @pytest.mark.parametrize("num, den, g, want", [
+        # gcd(6, 6) = 6 overstates the content: 4 = 0*6 + 4 gives 2.
+        ([6, 4], 6, 6, ((3, 2), 3)),
+        ([6 * K, 4 * K], 6 * K, 6 * K, ((3, 2), 3)),
+        # 6, then 2 at 10, then 1 at 15: num is taken as it is.
+        ([6, 10, 15], 30, 30, ((6, 10, 15), 30)),
+        ([K, K + 1], K, K, ((K, K + 1), K)),
+        # A zero first numerator leaves h = g for the rest to lower.
+        ([0, 4, 6], 8, 8, ((0, 2, 3), 4)),
+        ([0, 4 * K, 6 * K], 8 * K, 8 * K, ((0, 2, 3), 4)),
+        # A zero last numerator is stripped after the division.
+        ([4, 6, 0], 8, 8, ((2, 3), 4)),
+        ([4 * K, 6 * K, 0], 8 * K, 8 * K, ((2, 3), 4)),
+        # g = 1 stops at once; an empty list is the zero polynomial.
+        ([4, 6], 8, 1, ((4, 6), 8)),
+        ([], 8, 8, ((), 1)),
+        ([0, 0], 8, 8, ((), 1)),
+        ([0, 0], 8 * K, 8 * K, ((), 1)),
+    ], ids=["overstated", "overstated-K", "drops-to-1", "drops-to-1-K",
+            "zero-first", "zero-first-K", "zero-last", "zero-last-K",
+            "g-is-1", "empty", "zeros", "zeros-K"])
+    def test_cases(self, num, den, g, want):
+        assert reduced_pair(num, den, g) == want
+        assert divided_pair(num, den, g) == want
+
+    def test_matches_gcd_of_all(self):
+        # Contents made of small primes and K, so that gcd(g, num[0]) often
+        # overstates them, on either side of 64 bits and at a few thousand
+        # bits of numerator.
+        rng = random.Random(18)
+        for _ in range(400):
+            g = math.prod(rng.choice((2, 3, 5, 7, K)) for _ in range(8))
+            big = rng.getrandbits(rng.choice((8, 64, 3000)))
+            num = [rng.choice((0, 1, 2, 3, 5, 7, K)) * rng.randint(-big, big)
+                   * math.prod(rng.choice((1, 2, 3, 5, 7, K))
+                               for _ in range(6))
+                   for _ in range(rng.randint(1, 8))]
+            den = g * rng.randint(1, big + 1)
+            assert reduced_pair(num, den, g) == divided_pair(num, den, g)
 
 
 class TestText:

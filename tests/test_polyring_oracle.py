@@ -3,8 +3,9 @@
 sympy and hypothesis are test-only; without them this module is skipped.
 Every result is also checked to be in the canonical form (lowest terms,
 no trailing zero) that makes equality and hashing exact.  The benchmark
-draws integer shifts only, so these tests are what reaches evaluation and
-synthetic division at a non-integer r/s.
+draws integer shifts only, so these tests are what reaches evaluation,
+synthetic division and the fused convergent and peel steps at a
+non-integer r/s.
 """
 import math
 from fractions import Fraction
@@ -17,6 +18,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from alphafrac.polyring import (  # noqa: E402
     Polynomial,
+    _convergent_step,
+    _peel_step,
     _squarefree,
     poly_sqrt,
     rational_roots,
@@ -28,8 +31,9 @@ X = sympy.Symbol("x")
 # gcds that cancel them are exercised; the wide draws give large integers.
 smooth = st.builds(lambda a, b, c: 2 ** a * 3 ** b * 5 ** c,
                    st.integers(0, 7), st.integers(0, 4), st.integers(0, 2))
+smooth_rationals = st.builds(Fraction, st.integers(-12, 12), smooth)
 rationals = st.one_of(
-    st.builds(Fraction, st.integers(-12, 12), smooth),
+    smooth_rationals,
     st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12),
               st.integers(1, 10 ** 6)),
 )
@@ -127,6 +131,48 @@ def test_synthetic_div_and_eval(p, alpha):
     assert type(rem) is Fraction and rem == as_fraction(sr.eval(0))
     value = p(alpha)
     assert type(value) is Fraction and value == as_fraction(sp.eval(sa))
+
+
+# b = 0, zero polynomials and all-smooth coefficients, whose gcds with
+# the other operand's denominator cancel, drawn on purpose.
+scalars = st.one_of(st.just(Fraction(0)), rationals)
+operands = st.one_of(st.just(Polynomial()), polys,
+                     st.lists(smooth_rationals, max_size=7).map(Polynomial))
+shifts = st.one_of(non_integers, rationals)
+
+
+@examples
+@given(scalars, operands, shifts, operands)
+def test_convergent_step(b, p1, alpha, p0):
+    got = canonical(_convergent_step(b, p1, alpha, p0))
+    assert got == b * p1 + Polynomial.linear(alpha) * p0
+    sa = sympy.Rational(alpha.numerator, alpha.denominator)
+    sb = sympy.Rational(b.numerator, b.denominator)
+    agrees(got, sb * to_sympy(p1)
+           + sympy.Poly.from_list([1, -sa], X, domain="QQ") * to_sympy(p0))
+
+
+@examples
+@given(operands, scalars, operands, shifts)
+def test_peel_step(p, b, q, alpha):
+    got = canonical(_peel_step(p, b, q, alpha))
+    assert got == (p - b * q).synthetic_div(alpha)[0]
+
+
+@examples
+@given(operands, operands, shifts)
+def test_exact_peel_step(p, q, alpha):
+    # As in the peel: b = p/q at alpha, so x - alpha divides p - b q.
+    z = q(alpha)
+    b = p(alpha) / z if z else Fraction(0)
+    got = canonical(_peel_step(p, b, q, alpha))
+    r = p - b * q
+    if not z and r(alpha):
+        return
+    sa = sympy.Rational(alpha.numerator, alpha.denominator)
+    sq, sr = to_sympy(r).div(sympy.Poly.from_list([1, -sa], X, domain="QQ"))
+    assert sr.is_zero
+    agrees(got, sq)
 
 
 def sympy_sqrt(sp):
