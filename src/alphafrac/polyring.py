@@ -84,23 +84,17 @@ def _reduced(num, den, g):
     and g | den.
 
     g must hold every prime that can divide both den and the content of
-    num.  One gcd with num[0] bounds h.  A bound of more than 64 bits gets
-    one divmod pass, where a nonzero remainder r lowers h to gcd(h, r) and
-    rescales the quotients found so far: one long division per coefficient
-    both tests and divides, where a gcd chain and a division pass take two.
-    A bound of at most 64 bits gets the chain, whose short divisions in C
-    cost less than a step of the pass.  Once h is 1, num is taken as it is.
+    num.  One gcd with num[0] bounds h, and one divmod pass divides by it:
+    a nonzero remainder r lowers h to gcd(h, r) and rescales the quotients
+    found so far, so one long division per coefficient both tests and
+    divides, where a gcd chain and a division pass take two.  Once h is 1,
+    num is taken as it is.
     """
     if not num:
         return _make(num, den)
     h = math.gcd(g, num[0])
     if h == 1:
         return _make(num, den)
-    if h.bit_length() <= 64:
-        h = math.gcd(h, *num)
-        if h == 1:
-            return _make(num, den)
-        return _make([c // h for c in num], den // h)
     out = []
     for c in num:
         q, r = divmod(c, h)
@@ -115,21 +109,18 @@ def _reduced(num, den, g):
     return _make(out, den // h)
 
 
-def _add(u, du, v, dv, sign):
-    """u/du + sign * v/dv for lowest-terms numerators u, v and sign +-1.
+def _combine(a, u, du, c, v, dv):
+    """(num, den, g) with a u/du + c v/dv = num/den, unreduced, for integer
+    lists u, v and integers a, c with a u/du and c v/dv in lowest terms.
 
-    With g = gcd(du, dv), the sum is (u dv/g +- v du/g) / (du dv/g), and
-    only primes of g can divide both its denominator and its content.
+    With g = gcd(du, dv), num = a u dv/g + c v du/g over den = du dv/g,
+    and only primes of g can divide both den and the content of num.
     """
     g = math.gcd(du, dv)
     s, t = du // g, dv // g
-    den = s * dv
-    num = [a * t for a in u] if t > 1 else list(u)
-    num += [0] * (len(v) - len(u))
-    s *= sign
-    for i, b in enumerate(v):
-        num[i] += b * s
-    return _reduced(num, den, g)
+    a, c = a * t, c * s
+    num = [x * a + y * c for x, y in zip_longest(u, v, fillvalue=0)]
+    return num, s * dv, g
 
 
 def _pseudo_divmod(u, v):
@@ -259,7 +250,8 @@ class Polynomial:
 
     def __add__(self, other):
         other = self._coerce(other)
-        return _add(self._num, self._den, other._num, other._den, 1)
+        return _reduced(*_combine(1, self._num, self._den,
+                                  1, other._num, other._den))
 
     __radd__ = __add__
 
@@ -268,7 +260,8 @@ class Polynomial:
 
     def __sub__(self, other):
         other = self._coerce(other)
-        return _add(self._num, self._den, other._num, other._den, -1)
+        return _reduced(*_combine(1, self._num, self._den,
+                                  -1, other._num, other._den))
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -298,16 +291,10 @@ class Polynomial:
 
     def _scaled(self, p, q):
         """self * p / q, for p / q in lowest terms with q > 0."""
-        u, du = self._num, self._den
-        if not p or not u:
+        if not p or not self._num:
             return Polynomial()
-        g = math.gcd(p, du)
-        if g > 1:
-            p, du = p // g, du // g
-        g = math.gcd(q, *u)
-        if g > 1:
-            return _make([c // g * p for c in u], du * (q // g))
-        return _make([c * p for c in u], du * q)
+        p, v, d = _times(p, q, self._num, self._den)
+        return _make([c * p for c in v], d)
 
     def __truediv__(self, scalar):
         p, q = _scalar(scalar)
@@ -396,18 +383,17 @@ class Polynomial:
         return " ".join(parts) or "0"
 
 
-def _times(b, u, du):
-    """(n, v, d) with b u/du = n v/d in lowest terms, for a rational b and
-    lowest-terms u/du: b's numerator is cancelled against du and its
-    denominator against the content of u, as in __mul__."""
-    bn, bd = b.numerator, b.denominator
-    g = math.gcd(bn, du)
+def _times(p, q, u, du):
+    """(n, v, d) with (p/q) u/du = n v/d in lowest terms, for p/q and u/du
+    in lowest terms with q > 0: p is cancelled against du and q against the
+    content of u, as in __mul__."""
+    g = math.gcd(p, du)
     if g > 1:
-        bn, du = bn // g, du // g
-    g = math.gcd(bd, *u)
+        p, du = p // g, du // g
+    g = math.gcd(q, *u)
     if g > 1:
-        u, bd = [c // g for c in u], bd // g
-    return bn, u, bd * du
+        u, q = [c // g for c in u], q // g
+    return p, u, q * du
 
 
 def _convergent_step(b, p1, alpha, p0):
@@ -417,9 +403,9 @@ def _convergent_step(b, p1, alpha, p0):
     terms before it is formed: b p1 by _times, and (x - alpha) p0 =
     (s x - r) v / (s d2) for alpha = r/s by cancelling s against the
     content of v, as s x - r is primitive.  The sum then needs one
-    reduction against the gcd of the two denominators, as in _add.
+    reduction, by _combine's rule.
     """
-    bn, u, d1 = _times(b, p1._num, p1._den)
+    bn, u, d1 = _times(b.numerator, b.denominator, p1._num, p1._den)
     r, s = alpha.numerator, alpha.denominator
     v, d2 = p0._num, p0._den
     if s > 1:
@@ -427,13 +413,8 @@ def _convergent_step(b, p1, alpha, p0):
         if g > 1:
             v = [c // g for c in v]
         d2 *= s // g
-    g = math.gcd(d1, d2)
-    t, w = d2 // g, d1 // g
-    bn *= t
-    # (s x - r) v, then one multiplication by w per coefficient.
     y = [s * a - r * c for a, c in zip([0, *v], [*v, 0])] if v else []
-    num = [a * bn + c * w for a, c in zip_longest(u, y, fillvalue=0)]
-    return _reduced(num, d1 * t, g)
+    return _reduced(*_combine(bn, u, d1, 1, y, d2))
 
 
 def _peel_step(p, b, q, alpha):
@@ -444,17 +425,13 @@ def _peel_step(p, b, q, alpha):
     _times; the difference is divided by homogeneous Horner before any
     reduction, and the quotient is reduced once.
     """
-    u, d1 = p._num, p._den
-    bn, v, d2 = _times(b, q._num, q._den)
-    g = math.gcd(d1, d2)
-    t, w = d2 // g, d1 // g
-    bn *= w
-    num = [a * t - c * bn for a, c in zip_longest(u, v, fillvalue=0)]
+    bn, v, d2 = _times(b.numerator, b.denominator, q._num, q._den)
+    num, den, _ = _combine(1, p._num, p._den, -bn, v, d2)
     if not num:
         return Polynomial()
     s = alpha.denominator
     quot, _, sk = _horner_div(num, alpha.numerator, s)
-    den = d1 * t * (sk // s)
+    den *= sk // s
     return _reduced(quot, den, den)
 
 

@@ -85,15 +85,14 @@ def divided_pair(num, den, g):
     return tuple(num), (den // h if num else 1)
 
 
-# A prime of 89 bits: h above 64 bits takes the divmod pass, h below the
-# gcd chain.
+# A prime of 89 bits, so that each case also runs with a content wider than
+# a machine word.
 K = 2 ** 89 - 1
 
 
 class TestReduced:
     """_reduced divides by gcd(g, *num), which it bounds by gcd(g, num[0])
-    and finds by a gcd chain (h of at most 64 bits) or by the remainders of
-    one divmod pass."""
+    and finds by the remainders of one divmod pass."""
 
     @pytest.mark.parametrize("num, den, g, want", [
         # gcd(6, 6) = 6 overstates the content: 4 = 0*6 + 4 gives 2.
@@ -122,8 +121,8 @@ class TestReduced:
 
     def test_matches_gcd_of_all(self):
         # Contents made of small primes and K, so that gcd(g, num[0]) often
-        # overstates them, on either side of 64 bits and at a few thousand
-        # bits of numerator.
+        # overstates them, on either side of a machine word and at a few
+        # thousand bits of numerator.
         rng = random.Random(18)
         for _ in range(400):
             g = math.prod(rng.choice((2, 3, 5, 7, K)) for _ in range(8))
