@@ -27,6 +27,7 @@ from .polyring import (
     Polynomial,
     _convergent_step,
     _peel_step,
+    _ratio,
     as_fraction,
     as_sequence,
     poly_sqrt,
@@ -281,7 +282,7 @@ def factorize_transfer_matrix(m, alpha: AlphaSequence) -> Expansion:
     bs = []
     p, q = X, Z
     for k, al in enumerate(alphas):
-        x, z = p(al), q(al)
+        x, z = _ratio(p, q, al)
         if x == 0 and z == 0:
             # (Y, W) peeled k times, at al, by the scalar recurrence.
             x, z = Y(al), W(al)
@@ -291,7 +292,7 @@ def factorize_transfer_matrix(m, alpha: AlphaSequence) -> Expansion:
             raise FactorizationDegenerate(
                 "null vector has vanishing first component at step %d "
                 "(lambda = %s)" % (k, al))
-        b = x / z
+        b = Fraction(x, z)
         bs.append(b)
         p, q = q, _peel_step(p, b, q, al)
     g = alpha.genus
@@ -303,8 +304,10 @@ def factorize_transfer_matrix(m, alpha: AlphaSequence) -> Expansion:
     if Z.lead != 1:
         raise FactorizationDegenerate("Z is not monic")
     al = alphas[-1]
-    x = X(al)
-    u = Y(al) / x if x != 0 else W(al) / Z(al)
+    y, x = _ratio(Y, X, al)
+    if x == 0:
+        y, x = _ratio(W, Z, al)
+    u = Fraction(y, x)
     return Expansion(bs[0], tuple(bs[1:]) + (u + bs[0],), alpha)
 
 
@@ -339,26 +342,23 @@ def verify_expansion(e: Expansion, t: AlphaTriple) -> dict:
     """Recompute the triple from e and compare exactly; returns a report.
 
     Also checks the determinant identity P_N Q_{N-1} - P_{N-1} Q_N =
-    B^2 - AC - T^2 = prod(x - alpha_i) on the recomputed triple.
+    B^2 - AC - T^2 = prod(x - alpha_i) on the recomputed triple.  Equal
+    polynomials print equal text, so a passing pair is printed once.
     """
     got, T = expansion_to_triple(e)
-    checks = [
-        {
-            "name": name,
-            "pass": have == want,
-            "detail": "expected %s, recomputed %s" % (want, have),
-        }
-        for name, want, have in (("A", t.A, got.A), ("B", t.B, got.B),
-                                 ("C", t.C, got.C))
-    ]
     det = (got.B - T) * (got.B + T) - got.A * got.C
-    frak = e.alpha.vanishing_poly()
-    checks.append({
-        "name": "determinant_identity",
-        "pass": det == frak,
-        "detail": "P_N Q_{N-1} - P_{N-1} Q_N = %s, prod(x - alpha_i) = %s"
-                  % (det, frak),
-    })
+    same = "expected %(w)s, recomputed %(h)s"
+    checks = []
+    for name, want, have, form in (
+            ("A", t.A, got.A, same), ("B", t.B, got.B, same),
+            ("C", t.C, got.C, same),
+            ("determinant_identity", e.alpha.vanishing_poly(), det,
+             "P_N Q_{N-1} - P_{N-1} Q_N = %(h)s, "
+             "prod(x - alpha_i) = %(w)s")):
+        ok = have == want
+        text = str(want)
+        detail = form % {"w": text, "h": text if ok else have}
+        checks.append({"name": name, "pass": ok, "detail": detail})
     return {"pass": all(c["pass"] for c in checks), "checks": checks}
 
 
@@ -370,14 +370,14 @@ def numeric_residual(t: AlphaTriple, lambda0, branch: int = +1) -> float:
     authoritative.  Raises ValueError when a value on the way, or the
     residual itself, falls outside float range.
     """
-    lam = as_fraction(lambda0)
-    a = t.A(lam)
-    if a == 0:
-        raise PoleAtLambda("A(%s) = 0" % lam)
     if not isinstance(branch, int) or isinstance(branch, bool):
         raise TypeError("branch must be an int, got %.40r" % (branch,))
     if branch not in (+1, -1):
         raise ValueError("branch must be +1 or -1")
+    lam = as_fraction(lambda0)
+    a = t.A(lam)
+    if a == 0:
+        raise PoleAtLambda("A(%s) = 0" % lam)
     b = t.B(lam)
     c = t.C(lam)
     r = b * b - a * c

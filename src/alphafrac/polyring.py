@@ -170,6 +170,33 @@ def _horner_div(num, r, s):
     return quot, rem, sk
 
 
+def _homogeneous(num, r, s):
+    """s^n f(r/s) for the integer polynomial f with the n + 1 numerators
+    num: homogeneous Horner, plain Horner when s = 1."""
+    if s == 1:
+        return _horner(num, r)
+    acc, sk = 0, 1
+    for c in reversed(num):
+        acc = acc * r + c * sk
+        sk *= s
+    return acc
+
+
+def _ratio(p, q, alpha):
+    """(x, z), integers with x/z = p(alpha)/q(alpha), x = 0 exactly when
+    p(alpha) = 0 and z = 0 exactly when q(alpha) = 0: at alpha = r/s the
+    value of f/d of degree n is s^n f(r/s) / (d s^n), left unreduced."""
+    r, s = alpha.numerator, alpha.denominator
+    x = _homogeneous(p._num, r, s) * q._den
+    z = _homogeneous(q._num, r, s) * p._den
+    e = len(q._num) - len(p._num)
+    if e > 0:
+        x *= s ** e
+    elif e < 0:
+        z *= s ** -e
+    return x, z
+
+
 def _scalar(x):
     """(numerator, denominator) of a scalar, by as_fraction's type rule
     (an int that is not a bool, or a Fraction)."""
@@ -212,10 +239,16 @@ class Polynomial:
 
     @classmethod
     def from_roots(cls, roots) -> "Polynomial":
-        p = cls([1])
+        """The monic prod(x - r) over the roots, as prod(s x - a) / prod(s)
+        for r = a/s: the product of primitive factors is primitive (Gauss's
+        lemma), so it is in lowest terms without a gcd."""
+        num, den = [1], 1
         for r in as_sequence(roots):
-            p = p * cls.linear(r)
-        return p
+            r = as_fraction(r)
+            a, s = r.numerator, r.denominator
+            num = [s * c - a * d for c, d in zip([0, *num], [*num, 0])]
+            den *= s
+        return _make(num, den)
 
     @property
     def coeffs(self) -> tuple:
@@ -339,15 +372,12 @@ class Polynomial:
     def __call__(self, x) -> Fraction:
         """Exact Horner evaluation at a rational point."""
         x = as_fraction(x)
-        if not self._num:
+        num = self._num
+        if not num:
             return Fraction(0)
-        # Homogeneous Horner at x = r/s: acc = s^n du p(x).
-        r, s = x.numerator, x.denominator
-        acc, sk = 0, 1
-        for c in reversed(self._num):
-            acc = acc * r + c * sk
-            sk *= s
-        return Fraction(acc, self._den * sk // s)
+        s = x.denominator
+        return Fraction(_homogeneous(num, x.numerator, s),
+                        self._den * s ** (len(num) - 1))
 
     def _coerce(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
@@ -377,7 +407,10 @@ class Polynomial:
             c = self._num[k]
             if c:
                 x = "" if k == 0 else "x" if k == 1 else "x^%d" % k
-                m = "" if x and abs(c) == d else str(Fraction(abs(c), d))
+                g = math.gcd(c, d)
+                a, b = abs(c) // g, d // g
+                m = ("" if x and a == b else str(a) if b == 1
+                     else "%d/%d" % (a, b))
                 sign = ("+ " if c > 0 else "- ") if parts else "-" * (c < 0)
                 parts.append(sign + (m + "*" + x if m and x else m + x))
         return " ".join(parts) or "0"

@@ -14,6 +14,7 @@ from alphafrac import (
     PointOffCurve,
     RepeatedAbscissa,
     SpecialDivisor,
+    expansion_to_triple,
 )
 from alphafrac.polyring import Polynomial, as_fraction
 
@@ -107,6 +108,30 @@ def reference_str(p):
         else:
             parts.append(("+ " if c > 0 else "- ") + term)
     return " ".join(parts)
+
+
+def reference_verify(e, t):
+    """Reference verify_expansion: the report with every polynomial printed
+    from its own value, a passing pair's two sides included."""
+    got, T = expansion_to_triple(e)
+    checks = [
+        {
+            "name": name,
+            "pass": have == want,
+            "detail": "expected %s, recomputed %s" % (want, have),
+        }
+        for name, want, have in (("A", t.A, got.A), ("B", t.B, got.B),
+                                 ("C", t.C, got.C))
+    ]
+    det = (got.B - T) * (got.B + T) - got.A * got.C
+    frak = e.alpha.vanishing_poly()
+    checks.append({
+        "name": "determinant_identity",
+        "pass": det == frak,
+        "detail": "P_N Q_{N-1} - P_{N-1} Q_N = %s, prod(x - alpha_i) = %s"
+                  % (det, frak),
+    })
+    return {"pass": all(c["pass"] for c in checks), "checks": checks}
 
 
 def three_pass_jacobi(points, R):

@@ -247,6 +247,15 @@ class TestOtherCommands:
         assert code == 0
         assert out["pass"] is True
 
+    def test_verify_matches_golden_bytes(self, capsys, monkeypatch):
+        # B + 1: passing texts for A, C and the determinant, a failing B.
+        payload = {"expansion": SECT4_EXPANSION,
+                   "triple": {"A": ["-6", "1"], "B": ["9/2", "-3/2"],
+                              "C": ["-2", "4", "-1"]}}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+        assert main(["verify"]) == 0
+        assert capsys.readouterr().out == golden_text("verify-sect4")
+
     def test_residual(self, capsys):
         triple = {k: SECT4_INPUT[k] for k in ("A", "B", "C")}
         for branch in ("+", "-"):

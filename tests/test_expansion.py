@@ -8,6 +8,7 @@ from alphafrac import (
     AlphaTriple,
     Expansion,
     FactorizationDegenerate,
+    JacobiTriple,
     NonGenericPure,
     NotAdmissible,
     NotMonic,
@@ -25,7 +26,12 @@ from alphafrac import (
 )
 from alphafrac.polyring import Polynomial
 
-from conftest import random_expansion, random_rational
+from conftest import (
+    random_expansion,
+    random_jacobi,
+    random_rational,
+    reference_verify,
+)
 
 
 def P(*coeffs):
@@ -91,6 +97,41 @@ class TestRepr:
         t = AlphaTriple(P("-6", "1"), P("7/2", "-3/2"), P("-2", "4", "-1"))
         assert repr(t) == \
             "AlphaTriple(A=x - 6, B=-3/2*x + 7/2, C=-x^2 + 4*x - 2)"
+
+
+def twins():
+    """One pair of equal values, built apart, of each value type."""
+    rng = random.Random(20)
+    j = random_jacobi(rng, 2)
+    t = (P("-6", "1"), P("7/2", "-3/2"), P("-2", "4", "-1"))
+    return [
+        (AlphaSequence([1, 3, 4]), AlphaSequence(["1", F(3), 4])),
+        (SECT4, make_expansion("1", [-3, 1, 3], [1, 3, 4])),
+        (AlphaTriple(*t), AlphaTriple(*[Polynomial(p.coeffs) for p in t])),
+        (j, JacobiTriple(*[Polynomial(p.coeffs)
+                           for p in (j.U, j.V, j.W, j.R)])),
+        (P("1/2", 3), P(F(1, 2), "3")),
+    ]
+
+
+class TestValueSemantics:
+    @pytest.mark.parametrize("a, b", twins(),
+                             ids=lambda x: type(x).__name__)
+    def test_equal_values_hash_equal(self, a, b):
+        assert a is not b and a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    @pytest.mark.parametrize("a", [a for a, _ in twins()],
+                             ids=lambda x: type(x).__name__)
+    def test_foreign_operand_is_unequal(self, a):
+        other = object()
+        assert a.__eq__(other) is NotImplemented
+        assert (a == other) is False and (a != other) is True
+
+    @pytest.mark.parametrize("g", [0, 1, 2, 4])
+    def test_jacobi_genus(self, g):
+        assert random_jacobi(random.Random(g), g).genus == g
 
 
 class TestConstructorChecks:
@@ -484,6 +525,33 @@ class TestVerify:
             assert report["pass"]
 
 
+    def test_report_text_matches_reference(self, sect4_triple):
+        # A passing pair is printed once; the reference prints each side
+        # from its own value, so the reports must agree byte for byte.
+        t = sect4_triple
+        cases = [
+            (SECT4, t, True),
+            (SECT4, AlphaTriple(t.A, t.B + 1, t.C), False),
+            (make_expansion(2, [-3, 1, 3], [1, 3, 4]), t, False),
+        ]
+        rng = random.Random(19)
+        for n in range(1, 18, 2):
+            for _ in range(3):
+                e = random_expansion(rng, n)
+                triple, _ = expansion_to_triple(e)
+                # One coefficient below A's and C's leads, or of B, moved.
+                g, polys = triple.genus, [triple.A, triple.B, triple.C]
+                i = rng.randrange(0 if g else 1, 3)
+                k = rng.randrange(g if i == 0 else g + 1)
+                polys[i] = polys[i] + Polynomial(
+                    [0] * k + [random_rational(rng, nonzero=True)])
+                cases += [(e, triple, True), (e, AlphaTriple(*polys), False)]
+        for e, triple, passes in cases:
+            report = verify_expansion(e, triple)
+            assert report == reference_verify(e, triple)
+            assert report["pass"] is passes
+
+
 class TestNumericResidual:
     def test_sect4_points(self, sect4_triple):
         for branch in (+1, -1):
@@ -500,6 +568,13 @@ class TestNumericResidual:
     def test_pole(self, sect4_triple):
         with pytest.raises(PoleAtLambda):
             numeric_residual(sect4_triple, 6, +1)
+
+    @pytest.mark.parametrize("branch, error", [
+        (True, TypeError), (2, ValueError), ("1", TypeError)])
+    def test_bad_branch_at_a_pole(self, sect4_triple, branch, error):
+        # A(6) = 0: the flag is judged before lambda is evaluated.
+        with pytest.raises(error, match="^branch must be"):
+            numeric_residual(sect4_triple, 6, branch)
 
     @pytest.mark.parametrize("branch", [0, 2, -2])
     def test_branch_must_be_a_sign(self, sect4_triple, branch):

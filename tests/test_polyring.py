@@ -8,6 +8,7 @@ import pytest
 from alphafrac import AlphaSequence, Expansion, jacobi_from_divisor
 from alphafrac.polyring import (
     Polynomial,
+    _ratio,
     _reduced,
     as_fraction,
     poly_sqrt,
@@ -201,6 +202,74 @@ class TestEval:
         # (864 - 1116 + 372 + 1)/4 = 121/4
         p = P("1/4", "31/2", "-31/4", "1")
         assert p(6) == Fraction(121, 4)
+
+
+class TestRatio:
+    """_ratio(p, q, alpha) is a pair of integers (x, z) with x/z =
+    p(alpha)/q(alpha) and x, z = 0 exactly where p, q vanish."""
+
+    def check(self, p, q, alpha):
+        x, z = _ratio(p, q, alpha)
+        assert type(x) is int and type(z) is int
+        assert (x == 0) == (p(alpha) == 0) and (z == 0) == (q(alpha) == 0)
+        if z:
+            assert Fraction(x, z) == p(alpha) / q(alpha)
+
+    def test_matches_quotient_of_values(self):
+        # Shifts r/s with s up to 5, degrees 0..6 on either side, so that
+        # deg p - deg q takes both signs, and a zero on one side or both
+        # by a factor x - alpha.
+        rng = random.Random(19)
+        signs = set()
+        for _ in range(600):
+            alpha = random_rational(rng, -9, 9, 5)
+            p, q = (random_polynomial(rng, rng.randint(0, 6))
+                    for _ in range(2))
+            zero = rng.randrange(4)
+            if zero & 1:
+                p = p * Polynomial.linear(alpha)
+            if zero & 2:
+                q = q * Polynomial.linear(alpha)
+            signs.add((p.degree > q.degree) - (p.degree < q.degree))
+            self.check(p, q, alpha)
+        assert signs == {-1, 0, 1}
+
+    @pytest.mark.parametrize("alpha", [Fraction(0), Fraction(3),
+                                       Fraction(-7, 4)])
+    def test_zero_polynomial(self, alpha):
+        q = P("1/3", "-2", "5/7")
+        self.check(Polynomial(), q, alpha)
+        self.check(q, Polynomial(), alpha)
+        assert _ratio(Polynomial(), Polynomial(), alpha) == (0, 0)
+
+
+class TestFromRoots:
+    """from_roots is the product of the linear factors, canonical as it is
+    built: lowest terms (gcd(den, *num) = 1) and monic (lead = den)."""
+
+    def check(self, roots):
+        p = Polynomial.from_roots(roots)
+        want = Polynomial([1])
+        for r in roots:
+            want = want * Polynomial.linear(r)
+        assert p == want and p.degree == len(roots)
+        assert math.gcd(p._den, *p._num) == 1 and p._num[-1] == p._den
+
+    @pytest.mark.parametrize("roots", [
+        [], [0], [0, 0], ["1/2", "-3/2", "5/2"], ["2/3", "2/3", "-1/6"],
+        [1, 3, 4], ["-7/12", 0, "5/8", "5/8", 3, "-1/4"],
+    ])
+    def test_cases(self, roots):
+        self.check(roots)
+
+    def test_seeded(self):
+        # Up to 12 roots over denominators 1..6, some of them repeated.
+        rng = random.Random(21)
+        for _ in range(200):
+            roots = [random_rational(rng, -9, 9, 6)
+                     for _ in range(rng.randint(0, 12))]
+            roots += rng.sample(roots, min(len(roots), rng.randint(0, 2)))
+            self.check(roots)
 
 
 class TestRationalRoots:
