@@ -172,14 +172,17 @@ def _horner_div(num, r, s):
 
 def _homogeneous(num, r, s):
     """s^n f(r/s) for the integer polynomial f with the n + 1 numerators
-    num: homogeneous Horner, plain Horner when s = 1."""
-    if s == 1:
-        return _horner(num, r)
+    num, by homogeneous Horner."""
     acc, sk = 0, 1
     for c in reversed(num):
         acc = acc * r + c * sk
         sk *= s
     return acc
+
+
+def _times_linear(v, r, s):
+    """The numerators of (s x - r) v, for a nonempty integer list v."""
+    return [s * c - r * d for c, d in zip([0, *v], [*v, 0])]
 
 
 def _ratio(p, q, alpha):
@@ -246,7 +249,7 @@ class Polynomial:
         for r in as_sequence(roots):
             r = as_fraction(r)
             a, s = r.numerator, r.denominator
-            num = [s * c - a * d for c, d in zip([0, *num], [*num, 0])]
+            num = _times_linear(num, a, s)
             den *= s
         return _make(num, den)
 
@@ -446,7 +449,7 @@ def _convergent_step(b, p1, alpha, p0):
         if g > 1:
             v = [c // g for c in v]
         d2 *= s // g
-    y = [s * a - r * c for a, c in zip([0, *v], [*v, 0])] if v else []
+    y = _times_linear(v, r, s) if v else []
     return _reduced(*_combine(bn, u, d1, 1, y, d2))
 
 

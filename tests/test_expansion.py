@@ -524,7 +524,6 @@ class TestVerify:
             report = verify_expansion(e, triple)
             assert report["pass"]
 
-
     def test_report_text_matches_reference(self, sect4_triple):
         # A passing pair is printed once; the reference prints each side
         # from its own value, so the reports must agree byte for byte.
