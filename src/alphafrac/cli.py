@@ -211,9 +211,17 @@ def _write_result(args, result):
 
 
 def main(argv=None) -> int:
+    # CPython 3.10.7 and later refuse by default to convert an int of more
+    # than 4300 digits to or from text.  Input is parsed under that limit,
+    # and the grammar bounds every rational in it.  An answer may be
+    # longer, so the limit is lifted while it is computed and printed.
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    limit = get_limit() if get_limit else None
     try:
         args = build_parser().parse_args(argv)
         payload = _read_payload(args)
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
         result = args.handler(payload, args)
         _write_result(args, result)
     except AlphaFractionError as exc:
@@ -224,6 +232,9 @@ def main(argv=None) -> int:
         sys.stderr.write(canonical_dumps(
             {"error": "MalformedInput", "detail": str(exc)}))
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 

@@ -325,8 +325,9 @@ def pure_expand(t: AlphaTriple, alpha: AlphaSequence) -> Expansion:
     generic condition B(alpha_N) != 0.
     """
     a_last = alpha.alphas[-1]
-    if t.C(a_last) != 0:
-        raise NotPure("C(alpha_N) = %s != 0" % t.C(a_last))
+    c_val = t.C(a_last)
+    if c_val != 0:
+        raise NotPure("C(alpha_N) = %s != 0" % c_val)
     b_val = t.B(a_last)
     if b_val == 0:
         raise NonGenericPure("B(alpha_N) = 0: trace sign is not determined")
@@ -342,7 +343,10 @@ def verify_expansion(e: Expansion, t: AlphaTriple) -> dict:
     """Recompute the triple from e and compare exactly; returns a report.
 
     Also checks the determinant identity P_N Q_{N-1} - P_{N-1} Q_N =
-    B^2 - AC - T^2 = prod(x - alpha_i) on the recomputed triple.  Equal
+    B^2 - AC - T^2 = prod(x - alpha_i) on the recomputed triple.  The
+    recurrence makes it hold for every expansion, so it fails only on a
+    fault in the convergent step: it stays as that step's fault detector,
+    and the report's schema (and its golden text) includes it.  Equal
     polynomials print equal text, so a passing pair is printed once.
     """
     got, T = expansion_to_triple(e)

@@ -4,7 +4,8 @@ A Jacobi triple (U, V, W) with U monic of degree g, W monic of degree g+1
 and deg V <= g-1 satisfies V^2 + U W = R and is the Mumford-style
 coordinate of a non-special degree-g divisor on the curve mu^2 = R(lambda).
 Shifting by beta gives the bijection with alpha-triples:
-A = U, B = V + beta*U, C = -W + 2*beta*V + beta^2*U.
+A = U, B = V + beta*U, C = -W + 2*beta*V + beta^2*U, i.e. A y^2 + 2 B y + C
+is U y^2 + 2 V y - W at y + beta, and the inverse is the shift by -beta.
 """
 
 from __future__ import annotations
@@ -140,22 +141,18 @@ def divisor_from_jacobi(j: JacobiTriple):
 
 
 def alpha_triple_from_jacobi(j: JacobiTriple, beta) -> AlphaTriple:
-    """A = U, B = V + beta U, C = -W + 2 beta V + beta^2 U."""
+    """A = U, B = V + beta U, C = beta (V + B) - W: the shift by beta."""
     beta = as_fraction(beta)
-    A = j.U
     B = j.V + beta * j.U
-    C = -j.W + 2 * beta * j.V + beta * beta * j.U
-    return AlphaTriple(A, B, C)
+    return AlphaTriple(j.U, B, beta * (j.V + B) - j.W)
 
 
 def jacobi_from_alpha_triple(t: AlphaTriple):
-    """Inverse map: beta is the degree-g coefficient of B; returns (triple, beta)."""
-    g = t.genus
-    beta = t.B.coeff(g)
-    U = t.A
+    """Inverse map, the shift by -beta: beta is the degree-g coefficient of
+    B, V = B - beta A and W = beta (B + V) - C; returns (triple, beta)."""
+    beta = t.B.coeff(t.genus)
     V = t.B - beta * t.A
-    W = -t.C + 2 * beta * t.B - beta * beta * t.A
-    return JacobiTriple(U, V, W, t.discriminant), beta
+    return JacobiTriple(t.A, V, beta * (t.B + V) - t.C, t.discriminant), beta
 
 
 def pure_beta_candidates(j: JacobiTriple, alpha_n):

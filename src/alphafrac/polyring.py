@@ -12,7 +12,9 @@ import re
 from fractions import Fraction
 from itertools import zip_longest
 
-_RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+# Each integer has at most 4300 digits, CPython's default limit on int <->
+# str conversion, so parsing input stays linear in its length.
+_RATIONAL = re.compile(r"-?[0-9]{1,4300}(/[1-9][0-9]{0,4299})?")
 _BAD_RATIONAL = ("rational must be an integer or a string \"p\" or "
                  "\"p/q\" in lowest terms, got %.40r")
 
@@ -21,9 +23,9 @@ def as_fraction(x) -> Fraction:
     """Coerce x to an exact rational by the grammar of the JSON wire format.
 
     x is a Fraction, an int, or a string "p" or "p/q" in lowest terms with
-    q > 0.  Any other string, e.g. "1.5", "1e400", " 3" or "2/4", raises
-    ValueError, so no exponent is ever expanded; bools, floats and other
-    types raise TypeError.
+    q > 0 and at most 4300 digits in p and in q.  Any other string, e.g.
+    "1.5", "1e400", " 3" or "2/4", raises ValueError, so no exponent is
+    ever expanded; bools, floats and other types raise TypeError.
     """
     if isinstance(x, Fraction):
         return x
@@ -180,6 +182,16 @@ def _homogeneous(num, r, s):
     return acc
 
 
+def _cancel(d, v):
+    """(d/g, v/g) with g = gcd(d, *v), for an integer d and a list v of
+    integers: d cancelled against the content of v (d = 0 takes the
+    primitive part of a nonzero v)."""
+    g = math.gcd(d, *v)
+    if g > 1:
+        return d // g, [c // g for c in v]
+    return d, v
+
+
 def _times_linear(v, r, s):
     """The numerators of (s x - r) v, for a nonempty integer list v."""
     return [s * c - r * d for c, d in zip([0, *v], [*v, 0])]
@@ -310,12 +322,8 @@ class Polynomial:
             return Polynomial()
         # Cancel each denominator against the other factor's content; by
         # Gauss's lemma the product is then in lowest terms.
-        g = math.gcd(du, *v)
-        if g > 1:
-            v, du = [c // g for c in v], du // g
-        g = math.gcd(dv, *u)
-        if g > 1:
-            u, dv = [c // g for c in u], dv // g
+        du, v = _cancel(du, v)
+        dv, u = _cancel(dv, u)
         out = [0] * (len(u) + len(v) - 1)
         for i, a in enumerate(u):
             if a:
@@ -426,9 +434,7 @@ def _times(p, q, u, du):
     g = math.gcd(p, du)
     if g > 1:
         p, du = p // g, du // g
-    g = math.gcd(q, *u)
-    if g > 1:
-        u, q = [c // g for c in u], q // g
+    q, u = _cancel(q, u)
     return p, u, q * du
 
 
@@ -445,10 +451,8 @@ def _convergent_step(b, p1, alpha, p0):
     r, s = alpha.numerator, alpha.denominator
     v, d2 = p0._num, p0._den
     if s > 1:
-        g = math.gcd(s, *v)
-        if g > 1:
-            v = [c // g for c in v]
-        d2 *= s // g
+        t, v = _cancel(s, v)
+        d2 *= t
     y = _times_linear(v, r, s) if v else []
     return _reduced(*_combine(bn, u, d1, 1, y, d2))
 
@@ -514,19 +518,13 @@ def _derivative(f):
     return [i * c for i, c in enumerate(f)][1:]
 
 
-def _horner(cs, x):
-    acc = 0
-    for c in reversed(cs):
-        acc = acc * x + c
-    return acc
-
-
 def _simple_roots_mod(f, q):
     """The roots of f mod q, or None if one of them is multiple."""
     fq = [c % q for c in f]
-    roots = [x for x in range(q) if _horner(fq, x) % q == 0]
+    roots = [x for x in range(q) if _homogeneous(fq, x, 1) % q == 0]
     dfq = _derivative(fq)
-    return None if any(_horner(dfq, x) % q == 0 for x in roots) else roots
+    multiple = any(_homogeneous(dfq, x, 1) % q == 0 for x in roots)
+    return None if multiple else roots
 
 
 def _squarefree(f):
@@ -535,8 +533,7 @@ def _squarefree(f):
     divides a monic f, so its lead is +-1."""
     a, b = f, _derivative(f)
     while b:
-        g = math.gcd(*b)
-        b = [c // g for c in b]
+        _, b = _cancel(0, b)
         a, b = b, _stripped(_pseudo_divmod(a, b)[1], 1)[0]
     return _pseudo_divmod(f, a if a[-1] > 0 else [-c for c in a])[0]
 
@@ -576,13 +573,13 @@ def rational_roots(p: Polynomial):
     for y in mod_q:
         # inv is 1/f'(y) mod m, which is all a step to m^2 needs as
         # f(y) = 0 mod m; it is lifted along with y by inv(2 - f'(y) inv).
-        m, inv = q, pow(_horner(df, y), -1, q)
+        m, inv = q, pow(_homogeneous(df, y, 1), -1, q)
         while m <= 2 * bound:
             m *= m
-            y = (y - _horner(f, y) * inv) % m
-            inv = inv * (2 - _horner(df, y) * inv) % m
+            y = (y - _homogeneous(f, y, 1) * inv) % m
+            inv = inv * (2 - _homogeneous(df, y, 1) * inv) % m
         if y > m // 2:
             y -= m
-        if _horner(f, y) == 0:
+        if _homogeneous(f, y, 1) == 0:
             roots.append(Fraction(y, den))
     return roots

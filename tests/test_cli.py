@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import sys
 
 import pytest
 
@@ -307,6 +308,48 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out.startswith("usage: alphafrac")
         assert captured.err == ""
+
+
+class TestLongIntegers:
+    """Input is bounded at 4300 digits per integer; answers are not."""
+
+    SECT4_JACOBI = {"U": ["-6", "1"], "V": ["-11/2"], "W": ["5", "-7/4", "1"],
+                    "R": ["1/4", "31/2", "-31/4", "1"]}
+    BIG = "1" + "0" * 4000
+
+    def run_checked(self, capsys, args, payload):
+        # Python 3.10 before 3.10.7 has no limit to restore.
+        get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        limit = get_limit()
+        result = run(capsys, args, payload)
+        assert get_limit() == limit
+        return result
+
+    def test_triple_with_long_coefficients(self, capsys):
+        bs = [str(10 ** 300 + 7 * k + 1) for k in range(16)]
+        payload = {"b0": bs[0], "block": bs[1:],
+                   "alpha": [str(k) for k in range(1, 16)]}
+        code, out, _ = self.run_checked(capsys, ["triple"], payload)
+        assert code == 0
+        assert max(len(c) for c in out["C"]) > 4300
+
+    def test_not_pure_with_a_long_value(self, capsys):
+        payload = dict(SECT4_INPUT, alpha=["1", "3", self.BIG])
+        code, _, err = self.run_checked(capsys, ["pure-expand"], payload)
+        assert code == 1
+        assert json.loads(err)["error"] == "NotPure"
+
+    def test_irrational_beta_with_a_long_value(self, capsys):
+        payload = dict(self.SECT4_JACOBI, alpha_n=self.BIG)
+        code, _, err = self.run_checked(capsys, ["pure-beta"], payload)
+        assert code == 1
+        assert json.loads(err)["error"] == "IrrationalBeta"
+
+    def test_longer_input_integer_is_malformed(self, capsys):
+        payload = dict(self.SECT4_JACOBI, alpha_n="1" * 4301)
+        code, _, err = self.run_checked(capsys, ["pure-beta"], payload)
+        assert code == 2
+        assert "lowest terms, got " in json.loads(err)["detail"]
 
 
 class TestExampleCommand:

@@ -203,6 +203,13 @@ class TestEval:
         p = P("1/4", "31/2", "-31/4", "1")
         assert p(6) == Fraction(121, 4)
 
+    def test_rational_point(self):
+        # At x = r/s Horner is homogeneous in s:
+        # 1/4 + 31/4 - 31/16 + 1/8 = 99/16.
+        p = P("1/4", "31/2", "-31/4", "1")
+        assert p(Fraction(1, 2)) == Fraction(99, 16)
+        assert p("-2/3") == Fraction(-1493, 108)
+
 
 class TestRatio:
     """_ratio(p, q, alpha) is a pair of integers (x, z) with x/z =
@@ -386,6 +393,19 @@ class TestRationalGrammar:
             AlphaSequence([x])
         with pytest.raises(ValueError):
             Expansion(x, [1], AlphaSequence([0]))
+
+    def test_integers_of_4300_digits(self):
+        p = "9" * 4300
+        assert as_fraction(p) == int(p)
+        assert as_fraction("-1/" + p) == Fraction(-1, int(p))
+
+    @pytest.mark.parametrize("sign, over", [("", "/7"), ("-", "/7"),
+                                            ("1/", "")],
+                             ids=["numerator", "negative", "denominator"])
+    def test_longer_integer_is_value_error(self, sign, over):
+        # The grammar's own text, not the interpreter's digit limit.
+        with pytest.raises(ValueError, match="lowest terms, got "):
+            as_fraction(sign + "1" * 4301 + over)
 
     @pytest.mark.parametrize("x", [True, False, None, 0.5, [1], 1.5])
     def test_bool_and_float_are_type_errors(self, x):
