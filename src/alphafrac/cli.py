@@ -4,8 +4,6 @@ Exit codes: 0 success, 1 domain error (machine-readable record on stderr),
 2 malformed input or usage error.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys

@@ -5,8 +5,6 @@ can serve directly as a test fixture.  Outputs are computed by the core
 operations here; the acceptance suite pins their values independently.
 """
 
-from __future__ import annotations
-
 from .errors import UnknownExample
 from .expansion import AlphaSequence, AlphaTriple, expand, pure_expand
 from .polyring import Polynomial

@@ -8,8 +8,6 @@ expansion is recovered from the triple by factorizing the 2x2 transfer
 matrix [[T-B, -C], [A, T+B]] into elementary factors, one per period step.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
 from collections import deque, namedtuple

@@ -8,8 +8,6 @@ A = U, B = V + beta*U, C = -W + 2*beta*V + beta^2*U, i.e. A y^2 + 2 B y + C
 is U y^2 + 2 V y - W at y + beta, and the inverse is the shift by -beta.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .errors import (
@@ -103,7 +101,7 @@ def jacobi_from_divisor(points, R: Polynomial) -> JacobiTriple:
             raise RepeatedAbscissa(
                 "points %d and %d share lambda = %s" % (j, i, lam))
         V = V + U * ((mu - V(lam)) / u)
-        U = U * Polynomial.linear(lam)
+        U = U * Polynomial.from_roots([lam])
     # rest(lam_i) = R(lam_i) - mu_i^2 and deg rest < g, so rest = 0 exactly
     # when every point is on the curve; the constructor re-checks.
     W, rest = divmod(R - V * V, U)

@@ -5,8 +5,6 @@ coefficients are read as fractions.Fraction, so every operation here is
 exact.  Values are immutable after construction and safe to share.
 """
 
-from __future__ import annotations
-
 import math
 import re
 from fractions import Fraction
@@ -247,12 +245,6 @@ class Polynomial:
             [c.numerator * (den // c.denominator) for c in cs], den)
 
     @classmethod
-    def linear(cls, alpha) -> "Polynomial":
-        """The monic linear factor (x - alpha)."""
-        alpha = as_fraction(alpha)
-        return _make([-alpha.numerator, alpha.denominator], alpha.denominator)
-
-    @classmethod
     def from_roots(cls, roots) -> "Polynomial":
         """The monic prod(x - r) over the roots, as prod(s x - a) / prod(s)
         for r = a/s: the product of primitive factors is primitive (Gauss's
@@ -281,9 +273,6 @@ class Polynomial:
     def lead(self) -> Fraction:
         """Leading coefficient; 0 for the zero polynomial."""
         return self.coeff(len(self._num) - 1)
-
-    def is_zero(self) -> bool:
-        return not self._num
 
     def __bool__(self):
         return bool(self._num)
@@ -481,7 +470,7 @@ def poly_sqrt(p: Polynomial):
     When a root exists it is canonicalized to a positive leading
     coefficient; sqrt(0) = 0.
     """
-    if p.is_zero():
+    if not p:
         return p
     deg = p.degree
     if deg % 2 != 0:

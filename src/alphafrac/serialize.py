@@ -7,8 +7,6 @@ strings in ascending degree.
 golden files can be compared verbatim.
 """
 
-from __future__ import annotations
-
 import json
 
 from .expansion import AlphaSequence, AlphaTriple, Expansion

@@ -7,8 +7,6 @@ expansion.  Both are involutions.  The generic orbit has 2 * N! elements;
 in the pure case the group breaks down to S_{N-1} (sigma_1 .. sigma_{N-2}).
 """
 
-from __future__ import annotations
-
 import re
 from collections import namedtuple
 from fractions import Fraction
@@ -136,7 +134,7 @@ def orbit(e: Expansion, pure: bool = False) -> OrbitResult:
     if pure and not e.is_pure:
         raise NotPure("pure orbit requested for a non-pure expansion")
     n = e.n
-    flip = not pure and not expansion_to_triple(e)[1].is_zero()
+    flip = not pure and bool(expansion_to_triple(e)[1])
     # The generators' moves on keys, sigmas by index, then epspi, as in
     # parse_word.  sigma_k swaps ranks k and k+1; epspi reverses the ranks
     # and swaps the branch pair when the branches differ.  A key has

@@ -68,6 +68,12 @@ def random_jacobi(rng, g):
     return JacobiTriple(u, v, w, v * v + u * w)
 
 
+def linear_factor(a):
+    """x - a, built by the constructor: a reference for the linear factors
+    that from_roots builds."""
+    return Polynomial([-as_fraction(a), 1])
+
+
 def lagrange(points):
     """Reference interpolant through the (lam_i, mu_i), degree <= len - 1.
 
@@ -79,7 +85,7 @@ def lagrange(points):
         term = Polynomial([yi])
         for j, (xj, _) in enumerate(points):
             if j != i:
-                term = term * Polynomial.linear(xj) / (xi - xj)
+                term = term * linear_factor(xj) / (xi - xj)
         total = total + term
     return total
 

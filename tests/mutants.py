@@ -25,6 +25,7 @@ TIMEOUT_S = 60
 
 POLYRING = "src/alphafrac/polyring.py"
 JACOBI = "src/alphafrac/jacobi.py"
+SYMMETRY = "src/alphafrac/symmetry.py"
 
 # (name, file, snippet, replacement, node ids that must fail)
 MUTANTS = [
@@ -61,6 +62,27 @@ MUTANTS = [
      "    return f\n",
      ["tests/test_jacobi.py::TestRootSearch"
       "::test_matches_euclid_first_reference"]),
+    ("jacobi_from_divisor multiplies U by x + lambda", JACOBI,
+     "U = U * Polynomial.from_roots([lam])",
+     "U = U * Polynomial.from_roots([-lam])",
+     ["tests/test_jacobi.py::TestFromDivisor"
+      "::test_newton_pass_matches_lagrange"]),
+    ("orbit flips the branch without the half-trace test", SYMMETRY,
+     "flip = not pure and bool(expansion_to_triple(e)[1])",
+     "flip = not pure",
+     ["tests/test_symmetry.py::TestOrbitAgainstValueKeyedBFS"
+      "::test_zero_half_trace"]),
+    ("from_roots without den *= s", POLYRING,
+     "            num = _times_linear(num, a, s)\n            den *= s\n",
+     "            num = _times_linear(num, a, s)\n",
+     ["tests/test_polyring.py::TestFromRoots",
+      "tests/test_jacobi.py::TestFromDivisor"
+      "::test_newton_pass_matches_lagrange"]),
+    # Without it the zero polynomial, of degree -1, counts as odd.
+    ("poly_sqrt without its zero case", POLYRING,
+     "    if not p:\n        return p\n    deg = p.degree\n",
+     "    deg = p.degree\n",
+     ["tests/test_polyring.py::TestSqrt::test_zero"]),
 ]
 
 

@@ -27,6 +27,7 @@ from alphafrac import (
 from alphafrac.polyring import Polynomial
 
 from conftest import (
+    linear_factor,
     random_expansion,
     random_jacobi,
     random_rational,
@@ -460,7 +461,7 @@ class TestHighHeight:
         bs = conj.block[:-1] + (conj.bn_star,)
         for b, al in zip(bs, alpha.alphas):
             (p0, q0), (p1, q1) = want[-2:]
-            a = Polynomial.linear(al)
+            a = linear_factor(al)
             want.append((b * p1 + a * p0, b * q1 + a * q0))
         assert [tuple(pair) for pair in convergents(conj)] == want
 

@@ -27,6 +27,7 @@ from conftest import (
     divisor_reference,
     euclid_first_roots,
     lagrange,
+    linear_factor,
     random_jacobi,
     random_polynomial,
     random_rational,
@@ -340,7 +341,7 @@ class TestRootSearch:
             u = Polynomial.from_roots(sorted(lams))
             kind = rng.randrange(6)
             if kind <= 1 and lams:     # a repeated rational root
-                u = u * Polynomial.linear(rng.choice(sorted(lams)))
+                u = u * linear_factor(rng.choice(sorted(lams)))
             elif kind == 2:            # irreducible quadratic and cubic
                 u = u * rng.choice((x2p1, x3m2))
             elif kind == 3:            # a repeated irreducible factor

@@ -25,6 +25,8 @@ from alphafrac.polyring import (  # noqa: E402
     rational_roots,
 )
 
+from conftest import linear_factor  # noqa: E402
+
 X = sympy.Symbol("x")
 
 # Denominators built from a few small primes share factors often, so the
@@ -145,7 +147,7 @@ shifts = st.one_of(non_integers, rationals)
 @given(scalars, operands, shifts, operands)
 def test_convergent_step(b, p1, alpha, p0):
     got = canonical(_convergent_step(b, p1, alpha, p0))
-    assert got == b * p1 + Polynomial.linear(alpha) * p0
+    assert got == b * p1 + linear_factor(alpha) * p0
     sa = sympy.Rational(alpha.numerator, alpha.denominator)
     sb = sympy.Rational(b.numerator, b.denominator)
     agrees(got, sb * to_sympy(p1)

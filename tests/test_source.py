@@ -52,6 +52,14 @@ def test_src_does_not_import_typing():
     assert found == []
 
 
+def test_src_does_not_import_future():
+    # Nothing in the package needs a __future__ feature on the Pythons it
+    # supports: annotations that name a later class are strings already.
+    found = ["%s %s" % (where, name) for where, name in _absolute_imports()
+             if name == "__future__"]
+    assert found == []
+
+
 def test_unchecked_constructors_stay_in_symmetry():
     # AlphaSequence._from_checked and Expansion._from_checked skip
     # validation, which is sound only for the group generators' images;
