@@ -175,6 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
         "divisor points of a Jacobi triple")
     add("pure-beta", _cmd_pure_beta, "shifts beta giving C(alpha_N) = 0")
     add("verify", _cmd_verify, "recompute and compare an expansion's triple")
+    # Only the float round-off of the quadratic formula at the triple's own
+    # phi(lambda), small for every valid triple: see numeric_residual.
     p = add("residual", _cmd_residual,
             "floating-point residual of the quadratic relation")
     p.add_argument("--lambda", dest="lam", required=True,

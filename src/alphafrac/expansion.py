@@ -52,7 +52,8 @@ class AlphaSequence:
 
         Precondition: alphas is a tuple of pairwise-distinct Fractions of
         odd length, e.g. a permutation of a validated sequence's alphas.
-        Only the group generators in symmetry build sequences this way.
+        Only the group generators build sequences this way; the symmetry
+        module says why that is sound.
         """
         self = object.__new__(cls)
         self.alphas = alphas
@@ -110,8 +111,8 @@ class Expansion:
         """The expansion (b0, block, alpha), taken without coercion or checks.
 
         Precondition: b0 is a Fraction and block a tuple of Fractions of
-        length alpha.n.  Only the group generators in symmetry build
-        expansions this way.
+        length alpha.n.  Only the group generators build expansions this
+        way; the symmetry module says why that is sound.
         """
         self = object.__new__(cls)
         self.b0, self.block, self.alpha = b0, block, alpha
@@ -267,13 +268,15 @@ def factorize_transfer_matrix(m, alpha: AlphaSequence) -> Expansion:
 
     m is the 4-tuple (X, Y, Z, W) of build_transfer_matrix, the matrix
     [[X, Y], [Z, W]].  Only the first column is peeled, as Thiele's
-    continued fraction of X/Z: at step k the factor coefficient is X/Z at
-    alpha_{k+1}, or Y/W when X and Z both vanish there.  One check after
-    the loop, deg X, Z, W <= g, deg Y <= g + 1, det M = -prod(x - alpha_i)
-    and Z monic, makes the second column peel exactly, to the residue
+    continued fraction of X/Z on the shifts: at step k the factor
+    coefficient is X/Z at alpha_{k+1}, each b_k one Fraction of the two
+    integers from _ratio.  When X and Z both vanish there it is Y/W, the
+    second column read only at that point, peeled k times by the scalar
+    recurrence.  The checks after the loop, deg X, Z, W <= g and
+    deg Y <= g + 1, then det M = -prod(x - alpha_i), then Z monic, make
+    the second column peel exactly too, to the residue
     [[1, b_N - b_0], [0, 1]]; so b_N - b_0 is Y/X at alpha_N (W/Z where X
-    vanishes).  A matrix that fails the check, e.g. one built from a wrong
-    half-trace, raises FactorizationDegenerate naming the failed condition.
+    vanishes).  A failed check raises FactorizationDegenerate naming it.
     """
     X, Y, Z, W = m
     alphas = alpha.alphas
@@ -368,9 +371,13 @@ def numeric_residual(t: AlphaTriple, lambda0, branch: int = +1) -> float:
     """|A phi^2 + 2 B phi + C| at lambda0 for phi = (-B +- sqrt(R))/A in floats.
 
     branch is +1 or -1 and selects the square-root sign; complex arithmetic
-    is used when R(lambda0) < 0.  Sanity net only; exact checks are
-    authoritative.  Raises ValueError when a value on the way, or the
-    residual itself, falls outside float range.
+    is used when R(lambda0) < 0.  Raises ValueError when a value on the
+    way, or the residual itself, falls outside float range.
+
+    This checks no expansion and no exact result.  With s^2 = R = B^2 - AC,
+    A phi^2 + 2 B phi + C = (s^2 - B^2 + AC)/A = 0 for either phi and every
+    triple, so the value is only the float round-off of the quadratic
+    formula at the triple's own phi(lambda0), small for every valid triple.
     """
     if not isinstance(branch, int) or isinstance(branch, bool):
         raise TypeError("branch must be an int, got %.40r" % (branch,))

@@ -6,6 +6,10 @@ coordinate of a non-special degree-g divisor on the curve mu^2 = R(lambda).
 Shifting by beta gives the bijection with alpha-triples:
 A = U, B = V + beta*U, C = -W + 2*beta*V + beta^2*U, i.e. A y^2 + 2 B y + C
 is U y^2 + 2 V y - W at y + beta, and the inverse is the shift by -beta.
+Both directions are written in one mirrored form that computes the middle
+polynomial once and reuses it: B = V + beta U and C = beta (V + B) - W one
+way, V = B - beta A and W = beta (B + V) - C the other.  In canonical form
+they print the same text as the paper's formulas.
 """
 
 from collections import namedtuple
@@ -70,13 +74,22 @@ class JacobiTriple:
 def jacobi_from_divisor(points, R: Polynomial) -> JacobiTriple:
     """Jacobi triple of a divisor given as g affine curve points.
 
-    U = prod(x - lam_i), V interpolates V(lam_i) = mu_i, W = (R - V^2)/U;
-    U and V are built in one Newton pass of O(g^2) coefficient operations.
+    U = prod(x - lam_i), V interpolates V(lam_i) = mu_i, W = (R - V^2)/U.
     The points form a sequence of pairs of rationals, not text, dicts or
     sets; a malformed point raises TypeError or ValueError naming its index.
-    A point whose lam repeats meets U(lam) = 0 in the pass and is named with
-    the first earlier point of that lam, as conjugate or as a repeated
-    abscissa.  The division for W is exact iff every point has mu^2 = R(lam).
+
+    U and V are built together in one pass of Newton's interpolation
+    (Knuth, TAOCP 2, 4.6.4): for each point in turn, V gains the multiple of
+    the U so far that makes it take mu at lam, then U gains the factor
+    x - lam.  That is O(g^2) coefficient operations, where Lagrange's
+    formula rebuilds every basis product in O(g^3).  The same pass checks
+    the abscissae: U(lam) is prod(lam - lam_j) over the points met so far,
+    so it is 0 exactly when lam repeats one.  The remainder of
+    (R - V^2) / U has degree below g and the value R(lam_i) - mu_i^2 at
+    each of the g distinct lam_i, so it is 0 exactly when every point is on
+    the curve; only when it is not are the points scanned, to name the
+    first one off it.  A successful call evaluates neither R nor mu^2, and
+    the JacobiTriple constructor re-checks V^2 + U W = R.
     """
     pts = []
     for i, p in enumerate(as_sequence(points)):
@@ -102,8 +115,6 @@ def jacobi_from_divisor(points, R: Polynomial) -> JacobiTriple:
                 "points %d and %d share lambda = %s" % (j, i, lam))
         V = V + U * ((mu - V(lam)) / u)
         U = U * Polynomial.from_roots([lam])
-    # rest(lam_i) = R(lam_i) - mu_i^2 and deg rest < g, so rest = 0 exactly
-    # when every point is on the curve; the constructor re-checks.
     W, rest = divmod(R - V * V, U)
     if rest:
         for i, (lam, mu) in enumerate(pts):
@@ -139,15 +150,15 @@ def divisor_from_jacobi(j: JacobiTriple):
 
 
 def alpha_triple_from_jacobi(j: JacobiTriple, beta) -> AlphaTriple:
-    """A = U, B = V + beta U, C = beta (V + B) - W: the shift by beta."""
+    """The alpha-triple of j shifted by beta (see the module docstring)."""
     beta = as_fraction(beta)
     B = j.V + beta * j.U
     return AlphaTriple(j.U, B, beta * (j.V + B) - j.W)
 
 
 def jacobi_from_alpha_triple(t: AlphaTriple):
-    """Inverse map, the shift by -beta: beta is the degree-g coefficient of
-    B, V = B - beta A and W = beta (B + V) - C; returns (triple, beta)."""
+    """Inverse map, the shift by -beta for beta the degree-g coefficient of
+    B; returns (triple, beta)."""
     beta = t.B.coeff(t.genus)
     V = t.B - beta * t.A
     return JacobiTriple(t.A, V, beta * (t.B + V) - t.C, t.discriminant), beta

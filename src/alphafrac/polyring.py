@@ -2,7 +2,22 @@
 
 A polynomial is integer numerators over one common denominator, and its
 coefficients are read as fractions.Fraction, so every operation here is
-exact.  Values are immutable after construction and safe to share.
+exact.  Values are immutable after construction and safe to share.  The
+representation is this module's alone: tests/test_source.py fails if any
+other module of the package reads _num or _den.
+
+Arithmetic cancels the way Henrici's rational arithmetic does (J. ACM 3
+(1956)): the gcds of the operands' denominators and contents are taken
+before the multiplications, so a result needs at most one reduction,
+_reduced, against a known factor of its denominator.  The content rule is
+one helper, _cancel; a sum is formed by one helper, _combine, shared by
+addition, subtraction and the two fused steps; a scalar product cancels by
+_times.  The fused steps, _convergent_step and _peel_step, each do a whole
+step of one of the paper's two loops with one reduction.  Values at r/s
+come from one integer Horner loop homogeneous in s, _homogeneous, which
+__call__, the peel's _ratio and the root search share; its dividing form,
+_horner_div, serves synthetic_div and _peel_step.  divmod is integer
+pseudo-division followed by one reduction.
 """
 
 import math
@@ -183,7 +198,12 @@ def _homogeneous(num, r, s):
 def _cancel(d, v):
     """(d/g, v/g) with g = gcd(d, *v), for an integer d and a list v of
     integers: d cancelled against the content of v (d = 0 takes the
-    primitive part of a nonzero v)."""
+    primitive part of a nonzero v).
+
+    * applies it to both operands, _times to a scalar's denominator against
+    the polynomial, _convergent_step to alpha's denominator against P_0 and
+    _squarefree, with d = 0, to each remainder.
+    """
     g = math.gcd(d, *v)
     if g > 1:
         return d // g, [c // g for c in v]
@@ -198,7 +218,11 @@ def _times_linear(v, r, s):
 def _ratio(p, q, alpha):
     """(x, z), integers with x/z = p(alpha)/q(alpha), x = 0 exactly when
     p(alpha) = 0 and z = 0 exactly when q(alpha) = 0: at alpha = r/s the
-    value of f/d of degree n is s^n f(r/s) / (d s^n), left unreduced."""
+    value of f/d of degree n is s^n f(r/s) / (d s^n), left unreduced.
+
+    Both values are brought over a common power of s, so the caller's one
+    Fraction(x, z), the peel's b_k, is the only reduction.
+    """
     r, s = alpha.numerator, alpha.denominator
     x = _homogeneous(p._num, r, s) * q._den
     z = _homogeneous(q._num, r, s) * p._den
@@ -227,12 +251,7 @@ class Polynomial:
     in lowest terms: gcd(_den, *_num) = 1 and the last numerator is not 0.
     The zero polynomial has no numerators and degree -1.  Equal polynomials
     thus have equal representations.  coeffs, coeff(k) and lead build their
-    Fractions when read.
-
-    Each operation cancels the way Henrici's rational arithmetic does
-    (J. ACM 3 (1956)): gcds of the operands' denominators and contents are
-    taken before the multiplications, so the result needs at most one gcd
-    against a known factor to be in lowest terms.
+    Fractions each time they are read, so a loop should read coeffs once.
     """
 
     __slots__ = ("_num", "_den")
@@ -402,6 +421,8 @@ class Polynomial:
         return "Polynomial(%s)" % (list(map(str, self.coeffs)),)
 
     def __str__(self):
+        """Printed from the integer form with no Fraction: each nonzero
+        term's magnitude |c|/d is put in lowest terms by one gcd(c, d)."""
         d, parts = self._den, []
         for k in range(len(self._num) - 1, -1, -1):
             c = self._num[k]
@@ -430,8 +451,9 @@ def _times(p, q, u, du):
 def _convergent_step(b, p1, alpha, p0):
     """b p1 + (x - alpha) p0, for rationals b and alpha, in one pass.
 
-    A step of the convergent recurrence.  Each product is put in lowest
-    terms before it is formed: b p1 by _times, and (x - alpha) p0 =
+    A step of the convergent recurrence, with two big multiplications per
+    coefficient after the scalar gcds.  Each product is put in lowest terms
+    before it is formed: b p1 by _times, and (x - alpha) p0 =
     (s x - r) v / (s d2) for alpha = r/s by cancelling s against the
     content of v, as s x - r is primitive.  The sum then needs one
     reduction, by _combine's rule.
@@ -541,6 +563,9 @@ def rational_roots(p: Polynomial):
     n^2 two usually meet.  At the first q with a multiple root, f becomes
     its squarefree part, once; then any q prime to its discriminant ends
     the walk, so the work is polynomial in the degree and bit-size of p.
+    Every value, mod q and in the lifting, is _homogeneous at denominator 1.
+    A p of degree 6 with roots a/b, |a|, b <= 1000, or of degree 3 with
+    integer roots near 10^12, takes milliseconds.
     """
     num, den = p._num, p._den
     if not num or num[-1] != den:

@@ -5,6 +5,17 @@ transfers delta = (alpha_{k+1} - alpha_k)/b_k between neighbouring
 coefficients; epspi reverses the shift order and flips to the conjugate
 expansion.  Both are involutions.  The generic orbit has 2 * N! elements;
 in the pure case the group breaks down to S_{N-1} (sigma_1 .. sigma_{N-2}).
+
+Group images skip re-validation: apply_sigma and apply_eps_pi build them
+through the unchecked AlphaSequence._from_checked and
+Expansion._from_checked.  That is sound because an image comes from an
+expansion the public constructors already checked: its shifts are a
+permutation of pairwise distinct Fractions, so their count stays odd and
+they stay distinct, and each new b_i is a sum, difference, quotient or
+negation of Fractions, so nothing needs coercing.  Outside input (the CLI,
+serialize, datasets and library callers) takes the validating
+constructors, and tests/test_source.py keeps every other module of the
+package off the unchecked ones.
 """
 
 import re
@@ -56,8 +67,6 @@ def apply_sigma(e: Expansion, k: int) -> Expansion:
         block[k] -= delta
     else:
         block[-1] -= delta
-    # Images of a validated expansion: Fractions throughout, and the
-    # shifts are a permutation of distinct ones, so nothing is re-checked.
     return Expansion._from_checked(
         b0, tuple(block), AlphaSequence._from_checked(
             alphas[:k - 1] + (c, a) + alphas[k + 1:]))
@@ -123,11 +132,18 @@ def orbit(e: Expansion, pure: bool = False) -> OrbitResult:
     back in canonical order: lexicographic on (alpha order, b_0, block).
 
     Each image is keyed by its shift order and branch, and built only if
-    the key is new.  A key is one flat tuple: the ranks of the shifts, then
-    (branch, 1 - branch).  The branch is the parity of the epspi steps,
-    kept at 0 when the half-trace is 0 as both branches then coincide.  The
-    key determines the element because the alpha-fraction of a fixed phi
-    over a fixed shift order is unique.
+    the key is new.  A key is one flat tuple of N + 2 small ints: the ranks
+    of the shifts, then (branch, 1 - branch).  The branch is the parity of
+    the epspi steps, kept at 0 when the half-trace is 0 as both branches
+    then coincide.  The key determines the element because the
+    alpha-fraction of a fixed phi over a fixed shift order is unique.  Each
+    generator moves keys by one operator.itemgetter, built once per call:
+    sigma_k swaps ranks k and k + 1, and epspi reverses the ranks and swaps
+    the branch pair.  Every image is built by apply_sigma or apply_eps_pi,
+    once per new key, so an orbit of m elements makes m - 1 generator
+    calls.  Ranks order like the shifts, so canonical order is the sorted
+    keys, with the two branches of one shift order then put in
+    (b_0, block) order.
     """
     if not isinstance(pure, bool):
         raise TypeError("pure must be a bool, got %.40r" % (pure,))
@@ -135,10 +151,8 @@ def orbit(e: Expansion, pure: bool = False) -> OrbitResult:
         raise NotPure("pure orbit requested for a non-pure expansion")
     n = e.n
     flip = not pure and bool(expansion_to_triple(e)[1])
-    # The generators' moves on keys, sigmas by index, then epspi, as in
-    # parse_word.  sigma_k swaps ranks k and k+1; epspi reverses the ranks
-    # and swaps the branch pair when the branches differ.  A key has
-    # N + 2 >= 3 entries, so every getter returns a tuple.
+    # Sigmas by index, then epspi, as in parse_word.  A key has N + 2 >= 3
+    # entries, so every getter returns a tuple.
     places = list(range(n + 2))
     sigmas = []
     for k in range(1, n - 1 if pure else n):
@@ -172,9 +186,7 @@ def orbit(e: Expansion, pure: bool = False) -> OrbitResult:
                     seen[img] = apply_eps_pi(cur)
                     nxt.append(img)
         frontier = nxt
-    # Ranks order like the shifts, so sorted keys are in canonical shift
-    # order, with the two branches of one order side by side, branch 0
-    # first; each such pair is then put in (b_0, block) order.
+    # The two branches of one shift order sort side by side, branch 0 first.
     keys = sorted(seen)
     ordered = [seen[key] for key in keys]
     for i in range(1, len(keys)):

@@ -24,6 +24,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TIMEOUT_S = 60
 
 POLYRING = "src/alphafrac/polyring.py"
+EXPANSION = "src/alphafrac/expansion.py"
 JACOBI = "src/alphafrac/jacobi.py"
 SYMMETRY = "src/alphafrac/symmetry.py"
 
@@ -83,6 +84,36 @@ MUTANTS = [
      "    if not p:\n        return p\n    deg = p.degree\n",
      "    deg = p.degree\n",
      ["tests/test_polyring.py::TestSqrt::test_zero"]),
+    ("the Newton pass interpolates -mu", JACOBI,
+     "(mu - V(lam))",
+     "(-mu - V(lam))",
+     ["tests/test_jacobi.py::TestFromDivisor"
+      "::test_newton_pass_matches_lagrange"]),
+    # Without it U(alpha_N) = 0 divides by zero.
+    ("pure_beta_candidates without its u == 0 branch", JACOBI,
+     "    if u == 0:\n"
+     "        # v = 0 too would force r = v^2 + u*w = 0, excluded above.\n"
+     "        return [w / (2 * v)]\n",
+     "",
+     ["tests/test_jacobi.py::TestPureBeta::test_degenerate_linear_case"]),
+    ("apply_sigma moves b_N by -delta at k = 1", SYMMETRY,
+     "        b0 += delta\n        block[-1] += delta\n",
+     "        b0 += delta\n        block[-1] -= delta\n",
+     ["tests/test_symmetry.py::TestSigma::test_sigma1"]),
+    ("__add__ leaves its sum unreduced", POLYRING,
+     "        return _reduced(*_combine(1, self._num, self._den,\n"
+     "                                  1, other._num, other._den))\n",
+     "        return _make(*_combine(1, self._num, self._den,\n"
+     "                               1, other._num, other._den)[:2])\n",
+     ["tests/test_polyring.py::TestProperties::test_division_invariant"]),
+    ("the convergent recurrence uses b_N at step N", EXPANSION,
+     "b = e.block[k - 1] if k < n else e.bn_star",
+     "b = e.block[k - 1]",
+     ["tests/test_expansion.py::TestConvergents::test_sect4_recurrence"]),
+    ("synthetic_div without the s^k in the denominator", POLYRING,
+     "        den = self._den * (sk // s)\n",
+     "        den = self._den\n",
+     ["tests/test_polyring.py::TestRingOps::test_synthetic_division"]),
 ]
 
 

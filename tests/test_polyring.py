@@ -75,6 +75,11 @@ class TestRingOps:
         assert q * P("-3", "1") == P("-12", "19", "-8", "1")
         _, rem2 = P("1", "1").synthetic_div(2)
         assert rem2 == 3
+        # At 1/2 the quotient is over s^k: (x^2 + 1) = (x - 1/2)(x + 1/2)
+        # + 5/4.
+        q3, rem3 = P("1", "0", "1").synthetic_div(Fraction(1, 2))
+        assert q3 == P("1/2", "1")
+        assert rem3 == Fraction(5, 4)
 
 
 def reduced_pair(num, den, g):

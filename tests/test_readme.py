@@ -3,7 +3,10 @@
 The library tour is executed and every result its comments state is
 checked against what it computes; the CLI examples run through the
 in-process main.  Both are read from README.md itself, so a change to an
-example or to a stated result there is a change this module sees.
+example or to a stated result there is a change this module sees.  The
+lists README keeps, of subcommands and of example names, are checked
+against the parser and the datasets, and README names no private helper:
+how the code works is told in its docstrings.
 """
 import io
 import pathlib
@@ -15,7 +18,8 @@ from fractions import Fraction
 import pytest
 
 from alphafrac import AlphaSequence, Expansion
-from alphafrac.cli import main
+from alphafrac.cli import build_parser, main
+from alphafrac.datasets import EXAMPLE_NAMES
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -126,3 +130,52 @@ def test_cli_example_exits_0(argv, stdin, capsys, monkeypatch):
     assert main(argv) == 0
     out, err = capsys.readouterr()
     assert out and err == ""
+
+
+def test_subcommand_list_matches_parser():
+    # "Subcommands: `expand`, ..., `act` (`--word ...`), ..., `example`
+    # (`--name ...`)." up to the paragraph's end, options in parentheses.
+    text = README.read_text(encoding="utf-8")
+    listed = text[text.index("\nSubcommands: "):].split("\n\n")[0]
+    listed = re.findall(r"`([^`]+)`", re.sub(r"\([^()]*\)", "", listed))
+    usage = build_parser().format_usage()
+    commands = re.search(r"\{([^}]*)\}", usage).group(1).split(",")
+    assert listed == commands
+
+
+def test_example_name_list_matches_datasets():
+    # "`--name sect4|n1-periodic|n1-pure|pure-n3`"
+    text = README.read_text(encoding="utf-8")
+    stated = re.findall(r"`--name ([^`]+)`", text)
+    assert [names.split("|") for names in stated] == [list(EXAMPLE_NAMES)]
+
+
+def private_names(span):
+    """The dotted names in one code span that start with, or have a part
+    that starts with, a single underscore; a dunder such as __init__ is
+    public, and no part of a path such as tests/test_*_oracle.py is a
+    name."""
+    names = re.findall(r"(?<![\w/*])[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*(?![\w/*])",
+                       span)
+    return [name for name in names
+            if any(part.startswith("_") and not (part.startswith("__")
+                                                 and part.endswith("__"))
+                   for part in name.split("."))]
+
+
+def test_names_no_private_helper():
+    # README says what and why; a private helper is how, which belongs to
+    # the docstrings next to it.
+    assert private_names("_cancel(d, v)") == ["_cancel"]
+    assert private_names("AlphaSequence._from_checked") == [
+        "AlphaSequence._from_checked"]
+    assert private_names("__init__") == []
+    assert private_names("tests/test_*_oracle.py") == []
+    assert private_names("f() / _scalar(x)._x") == ["_scalar", "_x"]
+    assert private_names('"1_0"') == private_names('"sigma:0_1"') == []
+    text = README.read_text(encoding="utf-8")
+    prose = re.sub(r"^```.*?^```$", "", text, flags=re.S | re.M)
+    spans = re.findall(r"`([^`\n]+)`", prose)
+    assert spans
+    found = [name for span in spans for name in private_names(span)]
+    assert found == []
