@@ -23,8 +23,8 @@ from .errors import (
     SpecialDivisor,
 )
 from .expansion import AlphaTriple
-from .polyring import (Polynomial, as_fraction, as_sequence, rational_roots,
-                       rational_sqrt)
+from .polyring import (Polynomial, _with_root, as_fraction, as_sequence,
+                       rational_roots, rational_sqrt)
 
 
 CurvePoint = namedtuple("CurvePoint", "lam mu")
@@ -81,15 +81,17 @@ def jacobi_from_divisor(points, R: Polynomial) -> JacobiTriple:
     U and V are built together in one pass of Newton's interpolation
     (Knuth, TAOCP 2, 4.6.4): for each point in turn, V gains the multiple of
     the U so far that makes it take mu at lam, then U gains the factor
-    x - lam.  That is O(g^2) coefficient operations, where Lagrange's
-    formula rebuilds every basis product in O(g^3).  The same pass checks
-    the abscissae: U(lam) is prod(lam - lam_j) over the points met so far,
-    so it is 0 exactly when lam repeats one.  The remainder of
-    (R - V^2) / U has degree below g and the value R(lam_i) - mu_i^2 at
-    each of the g distinct lam_i, so it is 0 exactly when every point is on
-    the curve; only when it is not are the points scanned, to name the
-    first one off it.  A successful call evaluates neither R nor mu^2, and
-    the JacobiTriple constructor re-checks V^2 + U W = R.
+    x - lam by polyring's one linear-factor step: a single pass over U's
+    integer numerators with nothing to cancel, as U is primitive.  That is
+    O(g^2) coefficient operations, where Lagrange's formula rebuilds every
+    basis product in O(g^3).  The same pass checks the abscissae: U(lam)
+    is prod(lam - lam_j) over the points met so far, so it is 0 exactly
+    when lam repeats one.  The remainder of (R - V^2) / U has degree below
+    g and the value R(lam_i) - mu_i^2 at each of the g distinct lam_i, so
+    it is 0 exactly when every point is on the curve; only when it is not
+    are the points scanned, to name the first one off it.  A successful
+    call evaluates neither R nor mu^2, and the JacobiTriple constructor
+    re-checks V^2 + U W = R.
     """
     pts = []
     for i, p in enumerate(as_sequence(points)):
@@ -114,7 +116,7 @@ def jacobi_from_divisor(points, R: Polynomial) -> JacobiTriple:
             raise RepeatedAbscissa(
                 "points %d and %d share lambda = %s" % (j, i, lam))
         V = V + U * ((mu - V(lam)) / u)
-        U = U * Polynomial.from_roots([lam])
+        U = _with_root(U, lam)
     W, rest = divmod(R - V * V, U)
     if rest:
         for i, (lam, mu) in enumerate(pts):

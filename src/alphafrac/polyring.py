@@ -12,8 +12,12 @@ before the multiplications, so a result needs at most one reduction,
 _reduced, against a known factor of its denominator.  The content rule is
 one helper, _cancel; a sum is formed by one helper, _combine, shared by
 addition, subtraction and the two fused steps; a scalar product cancels by
-_times.  The fused steps, _convergent_step and _peel_step, each do a whole
-step of one of the paper's two loops with one reduction.  Values at r/s
+_times.  A product by one linear factor x - r/s is one helper, _root_step,
+shared by from_roots, _convergent_step and, through _with_root, the Newton
+pass of jacobi.jacobi_from_divisor; its cancellation of s never fires for
+from_roots and that pass, whose products of linear factors are primitive.
+The fused steps, _convergent_step and _peel_step, each do a whole step of
+one of the paper's two loops with one reduction.  Values at r/s
 come from one integer Horner loop homogeneous in s, _homogeneous, which
 __call__, the peel's _ratio and the root search share; its dividing form,
 _horner_div, serves synthetic_div and _peel_step.  divmod is integer
@@ -201,8 +205,8 @@ def _cancel(d, v):
     primitive part of a nonzero v).
 
     * applies it to both operands, _times to a scalar's denominator against
-    the polynomial, _convergent_step to alpha's denominator against P_0 and
-    _squarefree, with d = 0, to each remainder.
+    the polynomial, _root_step to the root's denominator against the
+    polynomial and _squarefree, with d = 0, to each remainder.
     """
     g = math.gcd(d, *v)
     if g > 1:
@@ -210,9 +214,26 @@ def _cancel(d, v):
     return d, v
 
 
-def _times_linear(v, r, s):
-    """The numerators of (s x - r) v, for a nonempty integer list v."""
-    return [s * c - r * d for c, d in zip([0, *v], [*v, 0])]
+def _root_step(v, d, r, s):
+    """(num, den) with (x - r/s) v/d = num/den in lowest terms, for v/d and
+    r/s in lowest terms: one linear factor more, in one pass.
+
+    (x - r/s) v/d = (s x - r) v / (s d), and s x - r is primitive, so by
+    Gauss's lemma the only factor to cancel is gcd(s, *v), taken first.  It
+    has three users: from_roots, _convergent_step's (x - alpha) P_0 and,
+    through _with_root, the Newton pass that grows U in
+    jacobi.jacobi_from_divisor.  For from_roots and U the cancellation never
+    fires: each is a product of primitive factors, so v is primitive.
+    """
+    t = s
+    if s > 1:
+        t, v = _cancel(s, v)
+    return [s * c - r * e for c, e in zip([0, *v], [*v, 0])], t * d
+
+
+def _with_root(p, a):
+    """The Polynomial (x - a) p, for a Fraction a, by _root_step."""
+    return _make(*_root_step(p._num, p._den, a.numerator, a.denominator))
 
 
 def _ratio(p, q, alpha):
@@ -266,14 +287,11 @@ class Polynomial:
     @classmethod
     def from_roots(cls, roots) -> "Polynomial":
         """The monic prod(x - r) over the roots, as prod(s x - a) / prod(s)
-        for r = a/s: the product of primitive factors is primitive (Gauss's
-        lemma), so it is in lowest terms without a gcd."""
+        for r = a/s, one _root_step per root."""
         num, den = [1], 1
         for r in as_sequence(roots):
             r = as_fraction(r)
-            a, s = r.numerator, r.denominator
-            num = _times_linear(num, a, s)
-            den *= s
+            num, den = _root_step(num, den, r.numerator, r.denominator)
         return _make(num, den)
 
     @property
@@ -453,18 +471,11 @@ def _convergent_step(b, p1, alpha, p0):
 
     A step of the convergent recurrence, with two big multiplications per
     coefficient after the scalar gcds.  Each product is put in lowest terms
-    before it is formed: b p1 by _times, and (x - alpha) p0 =
-    (s x - r) v / (s d2) for alpha = r/s by cancelling s against the
-    content of v, as s x - r is primitive.  The sum then needs one
-    reduction, by _combine's rule.
+    before it is formed, b p1 by _times and (x - alpha) p0 by _root_step, so
+    the sum needs one reduction, by _combine's rule.
     """
     bn, u, d1 = _times(b.numerator, b.denominator, p1._num, p1._den)
-    r, s = alpha.numerator, alpha.denominator
-    v, d2 = p0._num, p0._den
-    if s > 1:
-        t, v = _cancel(s, v)
-        d2 *= t
-    y = _times_linear(v, r, s) if v else []
+    y, d2 = _root_step(p0._num, p0._den, alpha.numerator, alpha.denominator)
     return _reduced(*_combine(bn, u, d1, 1, y, d2))
 
 

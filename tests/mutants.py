@@ -44,9 +44,11 @@ MUTANTS = [
      "    q, u = _cancel(q, u)\n    return p, u, q * du\n",
      "    return p, u, q * du\n",
      ["tests/test_polyring_oracle.py::test_scalar_ops"]),
-    ("_convergent_step with d2 *= s and no cancellation", POLYRING,
-     "        t, v = _cancel(s, v)\n        d2 *= t\n",
-     "        d2 *= s\n",
+    # Equivalent for from_roots and the Newton pass, whose products of
+    # linear factors are primitive; the convergent step's P_0 is not.
+    ("_root_step without the cancellation of s", POLYRING,
+     "    if s > 1:\n        t, v = _cancel(s, v)\n",
+     "",
      ["tests/test_polyring_oracle.py::test_convergent_step"]),
     ("the sign of W in the shift by beta", JACOBI,
      "AlphaTriple(j.U, B, beta * (j.V + B) - j.W)",
@@ -64,8 +66,8 @@ MUTANTS = [
      ["tests/test_jacobi.py::TestRootSearch"
       "::test_matches_euclid_first_reference"]),
     ("jacobi_from_divisor multiplies U by x + lambda", JACOBI,
-     "U = U * Polynomial.from_roots([lam])",
-     "U = U * Polynomial.from_roots([-lam])",
+     "U = _with_root(U, lam)",
+     "U = _with_root(U, -lam)",
      ["tests/test_jacobi.py::TestFromDivisor"
       "::test_newton_pass_matches_lagrange"]),
     ("orbit flips the branch without the half-trace test", SYMMETRY,
@@ -73,9 +75,9 @@ MUTANTS = [
      "flip = not pure",
      ["tests/test_symmetry.py::TestOrbitAgainstValueKeyedBFS"
       "::test_zero_half_trace"]),
-    ("from_roots without den *= s", POLYRING,
-     "            num = _times_linear(num, a, s)\n            den *= s\n",
-     "            num = _times_linear(num, a, s)\n",
+    ("_root_step without s in the denominator", POLYRING,
+     "for c, e in zip([0, *v], [*v, 0])], t * d\n",
+     "for c, e in zip([0, *v], [*v, 0])], d\n",
      ["tests/test_polyring.py::TestFromRoots",
       "tests/test_jacobi.py::TestFromDivisor"
       "::test_newton_pass_matches_lagrange"]),
@@ -114,6 +116,47 @@ MUTANTS = [
      "        den = self._den * (sk // s)\n",
      "        den = self._den\n",
      ["tests/test_polyring.py::TestRingOps::test_synthetic_division"]),
+    ("_root_step multiplies by x + r/s", POLYRING,
+     "[s * c - r * e for c, e in",
+     "[s * c + r * e for c, e in",
+     ["tests/test_polyring.py::TestFromRoots",
+      "tests/test_polyring_oracle.py::test_convergent_step",
+      "tests/test_jacobi.py::TestFromDivisor"
+      "::test_newton_pass_matches_lagrange"]),
+    ("verify reuses the expected text for a failing side", EXPANSION,
+     '"h": text if ok else have}',
+     '"h": text}',
+     ["tests/test_expansion.py::TestVerify"
+      "::test_report_text_matches_reference",
+      "tests/test_cli.py::TestOtherCommands"
+      "::test_verify_matches_golden_bytes"]),
+    ("verify prints the recomputed side as the expected", EXPANSION,
+     "        text = str(want)\n",
+     "        text = str(have)\n",
+     ["tests/test_expansion.py::TestVerify"
+      "::test_report_text_matches_reference",
+      "tests/test_cli.py::TestOtherCommands"
+      "::test_verify_matches_golden_bytes"]),
+    ("_ratio without the power of s on x", POLYRING,
+     "        x *= s ** e\n",
+     "        pass\n",
+     ["tests/test_polyring.py::TestRatio"]),
+    ("_ratio without the power of s on z", POLYRING,
+     "        z *= s ** -e\n",
+     "        pass\n",
+     ["tests/test_polyring.py::TestRatio"]),
+    ("_ratio puts the power of s for e > 0 on z", POLYRING,
+     "        x *= s ** e\n",
+     "        z *= s ** e\n",
+     ["tests/test_polyring.py::TestRatio"]),
+    ("_ratio puts the power of s for e < 0 on x", POLYRING,
+     "        z *= s ** -e\n",
+     "        x *= s ** -e\n",
+     ["tests/test_polyring.py::TestRatio"]),
+    ("Polynomial.__str__ without its gcd", POLYRING,
+     "                g = math.gcd(c, d)\n",
+     "                g = 1\n",
+     ["tests/test_polyring.py::TestText"]),
 ]
 
 

@@ -1,10 +1,21 @@
 """Guards on the package source itself."""
 
 import ast
+import importlib.util
 import pathlib
 import sys
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "alphafrac"
+TESTS = pathlib.Path(__file__).resolve().parent
+ROOT = TESTS.parent
+SRC = ROOT / "src" / "alphafrac"
+
+
+def _load(name, path):
+    """The Python file at path, run as a module but not as a script."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_no_assert_statements():
@@ -100,13 +111,7 @@ def test_traced_names_resolve():
     # any it cannot find, so a rename would silently drop a span.  It also
     # rebinds module-level functions by identity, so a traced function
     # that is an alias of another would trace every call of both.
-    import importlib
-    import importlib.util
-
-    path = SRC.parent.parent / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _load("bench_tracing", ROOT / "bench" / "tracing.py")
     entries = list(tracing.SPANS) + list(tracing.COUNTS)
     assert len(entries) >= 51
     missing, aliased = [], []
@@ -121,3 +126,37 @@ def test_traced_names_resolve():
                 mod.__name__, name):
             aliased.append("%s.%s" % (module, attr))
     assert missing == [] and aliased == []
+
+
+def _names_a_test(node_id):
+    """Whether a pytest node id, file::Class::function, names a test class
+    or function that its file defines, read with ast."""
+    path, *parts = node_id.split("::")
+    path = ROOT / path
+    if not path.name.startswith("test_") or not path.is_file():
+        return False
+    node = ast.parse(path.read_text(encoding="utf-8"))
+    for part in parts:
+        node = next((n for n in node.body
+                     if isinstance(n, (ast.ClassDef, ast.FunctionDef))
+                     and n.name == part), None)
+        if node is None or not part.startswith(("test", "Test")):
+            return False
+    return True
+
+
+def test_mutant_table_matches_the_code():
+    # tests/mutants.py takes minutes, so the edits that orphan one of its
+    # entries are caught here: a snippet that no longer occurs exactly once
+    # in its file, or a node id that names no test.
+    mutants = _load("mutants", TESTS / "mutants.py")
+    table = mutants.MUTANTS
+    assert len(table) >= 25
+    assert len({name for name, *_ in table}) == len(table)
+    counts = [(name, (ROOT / path).read_text(encoding="utf-8").count(snippet))
+              for name, path, snippet, _, _ in table]
+    assert [(name, n) for name, n in counts if n != 1] == []
+    assert all(node_ids for *_, node_ids in table)
+    missing = [n for *_, node_ids in table for n in node_ids
+               if not _names_a_test(n)]
+    assert missing == []
