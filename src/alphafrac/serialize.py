@@ -107,6 +107,9 @@ def divisor_to_json(points, R: Polynomial) -> dict:
 
 
 def divisor_from_json(data):
+    # Iterated, text would give its characters and an object its keys.
+    if not isinstance(data["points"], list):
+        raise ValueError("points must be an array")
     points = tuple(
         CurvePoint(frac_from_json(p["lambda"]), frac_from_json(p["mu"]))
         for p in data["points"])

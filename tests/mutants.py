@@ -157,15 +157,86 @@ MUTANTS = [
      "                g = math.gcd(c, d)\n",
      "                g = 1\n",
      ["tests/test_polyring.py::TestText"]),
+    ("as_fraction without its lowest-terms test", POLYRING,
+     "        if str(value) == x:\n",
+     "        if True:\n",
+     ["tests/test_polyring.py::TestRationalGrammar"
+      "::test_bad_string_is_value_error"]),
+    ("as_fraction takes bools", POLYRING,
+     "    if isinstance(x, int) and not isinstance(x, bool):\n"
+     "        return Fraction(x)\n",
+     "    if isinstance(x, int):\n        return Fraction(x)\n",
+     ["tests/test_polyring.py::TestRationalGrammar"
+      "::test_bool_and_float_are_type_errors"]),
+    ("_times without the gcd of p and du", POLYRING,
+     "    g = math.gcd(p, du)\n    if g > 1:\n"
+     "        p, du = p // g, du // g\n",
+     "",
+     ["tests/test_polyring_oracle.py::test_scalar_ops",
+      "tests/test_expansion.py::TestExpansionToTriple"
+      "::test_conjugate_gives_same_triple"]),
+    ("poly_sqrt without its low-coefficient check", POLYRING,
+     "    for k in range(g):\n        acc = -w[k]\n",
+     "    for k in range(0):\n        acc = -w[k]\n",
+     ["tests/test_polyring.py::TestSqrt::test_non_square"]),
+    ("rational_roots does not lift inv", POLYRING,
+     "            inv = inv * (2 - _homogeneous(df, y, 1) * inv) % m\n",
+     "",
+     ["tests/test_polyring_oracle.py::test_rational_roots",
+      "tests/test_jacobi.py::TestRootSearch"
+      "::test_matches_euclid_first_reference"]),
+    ("_simple_roots_mod never reports a multiple root", POLYRING,
+     "    return None if multiple else roots\n",
+     "    return roots\n",
+     ["tests/test_jacobi.py::TestRootSearch"
+      "::test_matches_euclid_first_reference",
+      "tests/test_jacobi.py::TestToDivisor::test_error_records"]),
+    ("the peel's final read without its W/Z fallback", EXPANSION,
+     "    if x == 0:\n        y, x = _ratio(W, Z, al)\n",
+     "",
+     ["tests/test_expansion.py::TestRoundTrip::test_random_round_trip",
+      "tests/test_acceptance.py::test_n1_formulas"]),
+    ("apply_sigma leaves b_N unmoved at k = N - 1", SYMMETRY,
+     "    else:\n        block[-1] -= delta\n",
+     "",
+     ["tests/test_symmetry.py::TestSigma::test_sigma2"]),
+    ("apply_sigma skips b_{k+1} at k = N - 2", SYMMETRY,
+     "    if k <= n - 2:\n",
+     "    if k < n - 2:\n",
+     ["tests/test_symmetry.py::TestSigma::test_sigma1"]),
+    ("apply_eps_pi with b~_0 = b_0 + b_N", SYMMETRY,
+     "e.b0 - b_last, block,",
+     "e.b0 + b_last, block,",
+     ["tests/test_symmetry.py::TestEpsPi::test_sect4"]),
+    ("orbit never flips the branch", SYMMETRY,
+     "flip = not pure and bool(expansion_to_triple(e)[1])",
+     "flip = False",
+     ["tests/test_symmetry.py::TestOrbit"
+      "::test_sect4_orbit_is_golden_table"]),
+    ("orbit's pair swap with >", SYMMETRY,
+     "            if (b.b0, b.block) < (a.b0, a.block):\n",
+     "            if (b.b0, b.block) > (a.b0, a.block):\n",
+     ["tests/test_symmetry.py::TestOrbit::test_canonical_order",
+      "tests/test_cli.py::TestOtherCommands"
+      "::test_orbit_matches_golden_bytes"]),
+    ("jacobi_from_divisor without its u == 0 test", JACOBI,
+     "        u = U(lam)\n        if u == 0:\n",
+     "        u = U(lam)\n        if False:\n",
+     ["tests/test_jacobi.py::TestFromDivisor"
+      "::test_repeated_abscissa_rejected",
+      "tests/test_jacobi.py::TestFromDivisor"
+      "::test_conjugate_pair_rejected"]),
 ]
 
 
 def copy_tree(dest):
-    """src/ and tests/ of the repository under dest, without caches."""
+    """src/, tests/ and pyproject.toml, which holds tier-1's pytest
+    configuration, of the repository under dest, without caches."""
     skip = shutil.ignore_patterns("__pycache__", ".hypothesis")
     for part in ("src", "tests"):
         shutil.copytree(os.path.join(ROOT, part), os.path.join(dest, part),
                         ignore=skip)
+    shutil.copy(os.path.join(ROOT, "pyproject.toml"), dest)
 
 
 def run_tests(root, node_ids):

@@ -1,10 +1,12 @@
 import io
 import json
 import os
+import subprocess
 import sys
 
 import pytest
 
+import alphafrac
 from alphafrac.cli import main
 from alphafrac.datasets import EXAMPLE_NAMES, example
 
@@ -23,20 +25,33 @@ SECT4_EXPANSION = {
     "alpha": ["1", "3", "4"],
 }
 
+# The six golden requests, golden name -> (argv, stdin payload or None).
+GOLDENS = {
+    **{name: (["example", "--name", name], None) for name in EXAMPLE_NAMES},
+    # N = 5 with zero b_i: 168 elements, 72 skipped edges, and pairs of one
+    # shift order whose branch-1 element sorts first as well as pairs whose
+    # branch-0 element does.
+    "orbit-n5": (["orbit"], {
+        "b0": "1/2", "block": ["0", "-1", "4", "-1", "-2"],
+        "alpha": ["1", "3", "2", "-4", "-1"]}),
+    # B + 1: passing texts for A, C and the determinant, a failing B.
+    "verify-sect4": (["verify"], {
+        "expansion": SECT4_EXPANSION,
+        "triple": {"A": ["-6", "1"], "B": ["9/2", "-3/2"],
+                   "C": ["-2", "4", "-1"]}}),
+}
 
-def golden_text(name):
-    with open(os.path.join(GOLDEN_DIR, name + ".json"),
-              encoding="utf-8") as fh:
+
+def golden_bytes(name):
+    with open(os.path.join(GOLDEN_DIR, name + ".json"), "rb") as fh:
         return fh.read()
 
 
-def run(capsys, args, payload=None, monkeypatch=None, stdin_text=None):
+def run(capsys, args, payload=None, stdin_text=None):
     """Run the CLI in-process; returns (exit_code, stdout_obj, stderr_text)."""
     if payload is not None:
         stdin_text = json.dumps(payload)
     if stdin_text is not None:
-        import io
-        import sys
         real_stdin = sys.stdin
         sys.stdin = io.StringIO(stdin_text)
         try:
@@ -48,6 +63,31 @@ def run(capsys, args, payload=None, monkeypatch=None, stdin_text=None):
     captured = capsys.readouterr()
     out = json.loads(captured.out) if captured.out else None
     return code, out, captured.err
+
+
+def check_golden(capsys, monkeypatch, name):
+    """The golden request run in-process prints the golden file's bytes."""
+    argv, payload = GOLDENS[name]
+    if payload is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == golden_bytes(name)
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "random"])
+@pytest.mark.parametrize("name", GOLDENS)
+def test_golden_bytes_in_a_child(name, seed):
+    # The entry point as a user runs it, with warnings as errors; output
+    # that followed set or dict hash order would differ between seeds.
+    argv, payload = GOLDENS[name]
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=os.path.dirname(os.path.dirname(alphafrac.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "alphafrac.cli", *argv],
+        input=b"" if payload is None else json.dumps(payload).encode(),
+        capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == golden_bytes(name)
 
 
 class TestExpandCommand:
@@ -186,14 +226,7 @@ class TestOtherCommands:
         assert out["complete"] is True
 
     def test_orbit_matches_golden_bytes(self, capsys, monkeypatch):
-        # N = 5 with zero b_i: 168 elements, 72 skipped edges, and pairs
-        # of one shift order whose branch-1 element sorts first as well
-        # as pairs whose branch-0 element does.
-        payload = {"b0": "1/2", "block": ["0", "-1", "4", "-1", "-2"],
-                   "alpha": ["1", "3", "2", "-4", "-1"]}
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
-        assert main(["orbit"]) == 0
-        assert capsys.readouterr().out == golden_text("orbit-n5")
+        check_golden(capsys, monkeypatch, "orbit-n5")
 
     def test_orbit_pure_rejects_non_pure(self, capsys):
         code, _, err = run(capsys, ["orbit", "--pure"], SECT4_EXPANSION)
@@ -230,6 +263,17 @@ class TestOtherCommands:
         assert code == 0
         assert back == divisor
 
+    @pytest.mark.parametrize("points", ["", {}, "ab", {"lambda": "1"}, None],
+                             ids=["empty-text", "empty-object", "text",
+                                  "object", "null"])
+    def test_divisor_points_must_be_an_array(self, capsys, points):
+        # Iterated, "" and {} would be the divisor with no points.
+        payload = {"points": points, "R": ["0", "1"]}
+        code, out, err = run(capsys, ["divisor-to-jacobi"], payload)
+        assert (code, out) == (2, None)
+        assert json.loads(err) == {"error": "MalformedInput",
+                                   "detail": "points must be an array"}
+
     def test_pure_beta(self, capsys):
         payload = {
             "U": ["-6", "1"], "V": ["-11/2"], "W": ["5", "-7/4", "1"],
@@ -249,13 +293,7 @@ class TestOtherCommands:
         assert out["pass"] is True
 
     def test_verify_matches_golden_bytes(self, capsys, monkeypatch):
-        # B + 1: passing texts for A, C and the determinant, a failing B.
-        payload = {"expansion": SECT4_EXPANSION,
-                   "triple": {"A": ["-6", "1"], "B": ["9/2", "-3/2"],
-                              "C": ["-2", "4", "-1"]}}
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
-        assert main(["verify"]) == 0
-        assert capsys.readouterr().out == golden_text("verify-sect4")
+        check_golden(capsys, monkeypatch, "verify-sect4")
 
     def test_residual(self, capsys):
         triple = {k: SECT4_INPUT[k] for k in ("A", "B", "C")}
@@ -359,17 +397,15 @@ class TestExampleCommand:
         assert json.loads(err)["error"] == "UnknownExample"
 
     @pytest.mark.parametrize("name", EXAMPLE_NAMES)
-    def test_example_matches_golden_bytes(self, capsys, name):
-        code = main(["example", "--name", name])
-        assert code == 0
-        assert capsys.readouterr().out == golden_text(name)
+    def test_example_matches_golden_bytes(self, capsys, monkeypatch, name):
+        check_golden(capsys, monkeypatch, name)
 
     def test_returned_record_is_a_copy(self):
         first = example("sect4")
         first["alpha"].append("9")
         first["triple"]["A"].append("9")
         first["expansions"][0]["block"].append("9")
-        assert example("sect4") == json.loads(golden_text("sect4"))
+        assert example("sect4") == json.loads(golden_bytes("sect4"))
 
     def test_n1_pure(self, capsys):
         code, out, _ = run(capsys, ["example", "--name", "n1-pure"])
