@@ -118,9 +118,7 @@ def _cmd_verify(payload, args):
 
 def _cmd_residual(payload, args):
     triple = triple_from_json(payload)
-    branch = +1 if args.branch == "+" else -1
-    res = numeric_residual(triple, args.lam, branch)
-    return {"residual": res}
+    return {"residual": numeric_residual(triple, args.lam)}
 
 
 def _cmd_example(payload, args):
@@ -181,8 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
             "floating-point residual of the quadratic relation")
     p.add_argument("--lambda", dest="lam", required=True,
                    help="rational evaluation point, e.g. 5/2")
-    p.add_argument("--branch", choices=["+", "-"], default="+",
-                   help="square-root branch")
     p = add("example", _cmd_example, "emit a canned example dataset",
             reads_input=False)
     p.add_argument("--name", required=True,
@@ -226,7 +222,7 @@ def main(argv=None) -> int:
         _write_result(args, result)
     except AlphaFractionError as exc:
         sys.stderr.write(canonical_dumps(
-            {"error": exc.code, "detail": str(exc)}))
+            {"error": type(exc).__name__, "detail": str(exc)}))
         return 1
     except (KeyError, TypeError, ValueError, OSError, RecursionError) as exc:
         sys.stderr.write(canonical_dumps(

@@ -1,18 +1,12 @@
 """Domain error hierarchy.
 
-Every error carries a stable ``code`` (the class name) which the CLI
-emits verbatim in its machine-readable error records.
+Each class name is stable: the CLI emits it verbatim as the ``error`` of
+its machine-readable error records.
 """
 
 
 class AlphaFractionError(Exception):
     """Base class for all domain errors of this library."""
-
-    code = "AlphaFractionError"
-
-    def __init_subclass__(cls, **kw):
-        super().__init_subclass__(**kw)
-        cls.code = cls.__name__
 
 
 class NotMonic(AlphaFractionError):

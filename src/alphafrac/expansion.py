@@ -367,22 +367,17 @@ def verify_expansion(e: Expansion, t: AlphaTriple) -> dict:
     return {"pass": all(c["pass"] for c in checks), "checks": checks}
 
 
-def numeric_residual(t: AlphaTriple, lambda0, branch: int = +1) -> float:
-    """|A phi^2 + 2 B phi + C| at lambda0 for phi = (-B +- sqrt(R))/A in floats.
+def numeric_residual(t: AlphaTriple, lambda0) -> float:
+    """|A phi^2 + 2 B phi + C| at lambda0 for phi = (-B + sqrt(R))/A in floats.
 
-    branch is +1 or -1 and selects the square-root sign; complex arithmetic
-    is used when R(lambda0) < 0.  Raises ValueError when a value on the
-    way, or the residual itself, falls outside float range.
+    Complex arithmetic is used when R(lambda0) < 0.  Raises ValueError when
+    a value on the way, or the residual itself, falls outside float range.
 
     This checks no expansion and no exact result.  With s^2 = R = B^2 - AC,
-    A phi^2 + 2 B phi + C = (s^2 - B^2 + AC)/A = 0 for either phi and every
-    triple, so the value is only the float round-off of the quadratic
+    A phi^2 + 2 B phi + C = (s^2 - B^2 + AC)/A = 0 for either root phi and
+    every triple, so the value is only the float round-off of the quadratic
     formula at the triple's own phi(lambda0), small for every valid triple.
     """
-    if not isinstance(branch, int) or isinstance(branch, bool):
-        raise TypeError("branch must be an int, got %.40r" % (branch,))
-    if branch not in (+1, -1):
-        raise ValueError("branch must be +1 or -1")
     lam = as_fraction(lambda0)
     a = t.A(lam)
     if a == 0:
@@ -392,7 +387,7 @@ def numeric_residual(t: AlphaTriple, lambda0, branch: int = +1) -> float:
     r = b * b - a * c
     try:
         fa, fb = float(a), float(b)
-        phi = (-fb + branch * cmath.sqrt(complex(r))) / fa
+        phi = (-fb + cmath.sqrt(complex(r))) / fa
         res = abs(fa * phi * phi + 2 * fb * phi + float(c))
     except (OverflowError, ZeroDivisionError):
         res = math.inf

@@ -20,8 +20,8 @@ The fused steps, _convergent_step and _peel_step, each do a whole step of
 one of the paper's two loops with one reduction.  Values at r/s
 come from one integer Horner loop homogeneous in s, _homogeneous, which
 __call__, the peel's _ratio and the root search share; its dividing form,
-_horner_div, serves synthetic_div and _peel_step.  divmod is integer
-pseudo-division followed by one reduction.
+_horner_div, serves _peel_step alone.  divmod is integer pseudo-division
+followed by one reduction; synthetic_div is divmod by x - alpha.
 """
 
 import math
@@ -164,7 +164,7 @@ def _pseudo_divmod(u, v):
 
 
 def _horner_div(num, r, s):
-    """(quot, rem, sk) with num = (x - r/s) quot / (sk/s) + rem / sk, for a
+    """(quot, sk) with num = (x - r/s) quot / (sk/s) + a constant, for a
     nonempty integer list num, r/s in lowest terms and sk = s^(len(num)-1).
 
     Homogeneous Horner: the j-th partial sum from the top is s^j times the
@@ -179,14 +179,14 @@ def _horner_div(num, r, s):
         quot.append(acc)
         sk *= s
     sk //= s
-    rem = quot.pop()
+    quot.pop()
     quot.reverse()
     if s > 1:
         sj = 1
         for k in range(1, len(quot)):
             sj *= s
             quot[k] *= sj
-    return quot, rem, sk
+    return quot, sk
 
 
 def _homogeneous(num, r, s):
@@ -398,13 +398,8 @@ class Polynomial:
 
     def synthetic_div(self, alpha):
         """Divide by (x - alpha); returns (quotient, remainder scalar)."""
-        alpha = as_fraction(alpha)
-        if not self._num:
-            return Polynomial(), Fraction(0)
-        s = alpha.denominator
-        quot, rem, sk = _horner_div(self._num, alpha.numerator, s)
-        den = self._den * (sk // s)
-        return _reduced(quot, den, den), Fraction(rem, self._den * sk)
+        quot, rem = divmod(self, Polynomial.from_roots([alpha]))
+        return quot, rem.coeff(0)
 
     def __call__(self, x) -> Fraction:
         """Exact Horner evaluation at a rational point."""
@@ -492,7 +487,7 @@ def _peel_step(p, b, q, alpha):
     if not num:
         return Polynomial()
     s = alpha.denominator
-    quot, _, sk = _horner_div(num, alpha.numerator, s)
+    quot, sk = _horner_div(num, alpha.numerator, s)
     den *= sk // s
     return _reduced(quot, den, den)
 

@@ -110,10 +110,14 @@ def divisor_from_json(data):
     # Iterated, text would give its characters and an object its keys.
     if not isinstance(data["points"], list):
         raise ValueError("points must be an array")
-    points = tuple(
-        CurvePoint(frac_from_json(p["lambda"]), frac_from_json(p["mu"]))
-        for p in data["points"])
-    return points, poly_from_json(data["R"])
+    points = []
+    for i, p in enumerate(data["points"]):
+        if not isinstance(p, dict) or "lambda" not in p or "mu" not in p:
+            raise ValueError('point %d must be an object with "lambda" and '
+                             '"mu", got %.40r' % (i, p))
+        points.append(CurvePoint(frac_from_json(p["lambda"]),
+                                 frac_from_json(p["mu"])))
+    return tuple(points), poly_from_json(data["R"])
 
 
 def orbit_to_json(result) -> dict:

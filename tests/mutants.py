@@ -112,10 +112,6 @@ MUTANTS = [
      "b = e.block[k - 1] if k < n else e.bn_star",
      "b = e.block[k - 1]",
      ["tests/test_expansion.py::TestConvergents::test_sect4_recurrence"]),
-    ("synthetic_div without the s^k in the denominator", POLYRING,
-     "        den = self._den * (sk // s)\n",
-     "        den = self._den\n",
-     ["tests/test_polyring.py::TestRingOps::test_synthetic_division"]),
     ("_root_step multiplies by x + r/s", POLYRING,
      "[s * c - r * e for c, e in",
      "[s * c + r * e for c, e in",
@@ -226,6 +222,23 @@ MUTANTS = [
       "::test_repeated_abscissa_rejected",
       "tests/test_jacobi.py::TestFromDivisor"
       "::test_conjugate_pair_rejected"]),
+    ("_combine with the cofactors swapped", POLYRING,
+     "    a, c = a * t, c * s\n",
+     "    a, c = a * s, c * t\n",
+     ["tests/test_polyring.py::TestProperties::test_division_invariant"]),
+    ("_combine with g = 1", POLYRING,
+     "    g = math.gcd(du, dv)\n",
+     "    g = 1\n",
+     ["tests/test_polyring.py::TestProperties::test_division_invariant"]),
+    ("_reduced without rescaling the quotients so far", POLYRING,
+     "            out = [a * m for a in out]\n",
+     "",
+     ["tests/test_polyring.py::TestProperties::test_division_invariant"]),
+    # Equivalent at integer shifts, where s = 1.
+    ("_peel_step without den *= sk // s", POLYRING,
+     "    den *= sk // s\n",
+     "",
+     ["tests/test_expansion.py::TestRoundTrip::test_random_round_trip"]),
 ]
 
 

@@ -257,5 +257,4 @@ def test_jacobi_correspondence():
 @reported("floating sanity (residual <= 1e-9)")
 def test_floating_sanity():
     for lam in (0, 2, 10):
-        for branch in (+1, -1):
-            assert numeric_residual(SECT4_TRIPLE, lam, branch) <= 1e-9
+        assert numeric_residual(SECT4_TRIPLE, lam) <= 1e-9

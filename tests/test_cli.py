@@ -274,6 +274,24 @@ class TestOtherCommands:
         assert json.loads(err) == {"error": "MalformedInput",
                                    "detail": "points must be an array"}
 
+    @pytest.mark.parametrize("point, shown", [
+        (["6", "-11/2"], "['6', '-11/2']"),
+        ({"lambda": "6"}, "{'lambda': '6'}"),
+        ("ab", "'ab'"),
+        (None, "None"),
+    ], ids=["pair", "no-mu", "text", "null"])
+    def test_divisor_point_must_be_an_object(self, capsys, point, shown):
+        # The detail names the point and its fields, not the interpreter's
+        # text for a failed lookup.
+        payload = {"points": [{"lambda": "6", "mu": "-11/2"}, point],
+                   "R": ["1/4", "31/2", "-31/4", "1"]}
+        code, out, err = run(capsys, ["divisor-to-jacobi"], payload)
+        assert (code, out) == (2, None)
+        assert json.loads(err) == {
+            "error": "MalformedInput",
+            "detail": 'point 1 must be an object with "lambda" and "mu", '
+                      "got " + shown}
+
     def test_pure_beta(self, capsys):
         payload = {
             "U": ["-6", "1"], "V": ["-11/2"], "W": ["5", "-7/4", "1"],
@@ -297,13 +315,17 @@ class TestOtherCommands:
 
     def test_residual(self, capsys):
         triple = {k: SECT4_INPUT[k] for k in ("A", "B", "C")}
-        for branch in ("+", "-"):
-            code, out, _ = run(
-                capsys,
-                ["residual", "--lambda", "0", "--branch", branch],
-                triple)
-            assert code == 0
-            assert out["residual"] <= 1e-9
+        code, out, _ = run(capsys, ["residual", "--lambda", "0"], triple)
+        assert code == 0
+        assert out["residual"] <= 1e-9
+
+    def test_residual_has_no_branch_option(self, capsys):
+        # Either root gives the same relation; the command reads one.
+        triple = {k: SECT4_INPUT[k] for k in ("A", "B", "C")}
+        code, out, err = run(
+            capsys, ["residual", "--lambda", "0", "--branch", "-"], triple)
+        assert (code, out) == (2, None)
+        assert json.loads(err)["error"] == "MalformedInput"
 
     @pytest.mark.parametrize("lam", ["1" + "0" * 400, "1e400"],
                              ids=["401-digit", "1e400"])

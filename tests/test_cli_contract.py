@@ -47,7 +47,7 @@ GOLDEN = [
     (["jacobi-to-divisor"], JACOBI),
     (["pure-beta"], dict(JACOBI, alpha_n="4")),
     (["verify"], {"expansion": EXPANSION, "triple": TRIPLE}),
-    (["residual", "--lambda", "5/2", "--branch", "-"], TRIPLE),
+    (["residual", "--lambda", "5/2"], TRIPLE),
     (["example", "--name", "sect4"], None),
 ]
 IDS = [" ".join(argv[:2]) for argv, _ in GOLDEN]
@@ -65,7 +65,7 @@ JUNK_ARGS = ["--bogus", "-x", "--", "--word", "--lambda", "--input", "-1/2",
              "nope"]
 
 DOMAIN_ERRORS = {
-    obj.code for obj in vars(errors).values()
+    obj.__name__ for obj in vars(errors).values()
     if isinstance(obj, type) and issubclass(obj, errors.AlphaFractionError)
     and obj is not errors.AlphaFractionError
 }

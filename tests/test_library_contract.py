@@ -71,8 +71,6 @@ CALLS = {
     "apply_sigma": lambda x: apply_sigma(E, x),
     "numeric_residual.lambda": lambda x: numeric_residual(
         AlphaTriple(A, B, C), x),
-    "numeric_residual.branch": lambda x: numeric_residual(
-        AlphaTriple(A, B, C), "5/2", x),
     "pure_beta_candidates": lambda x: pure_beta_candidates(J, x),
     "alpha_triple_from_jacobi": lambda x: alpha_triple_from_jacobi(J, x),
     "orbit.pure": lambda x: orbit(E, pure=x),

@@ -1,6 +1,7 @@
 """Guards on the package source itself."""
 
 import ast
+import functools
 import importlib.util
 import pathlib
 import sys
@@ -19,42 +20,51 @@ def _load(name, path):
     return module
 
 
+@functools.cache
+def _modules():
+    """(file name, text, nodes) for each src/alphafrac/*.py, nodes being
+    every node of its syntax tree: each file is read and parsed once for all
+    the guards below.  A warning while parsing is left to
+    test_src_compiles_without_warnings."""
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    out = []
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            nodes = list(ast.walk(ast.parse(text, path.name)))
+        out.append((path.name, text, nodes))
+    return tuple(out)
+
+
 def test_src_compiles_without_warnings():
     # An invalid escape such as \s in a docstring warns at compile time: a
     # DeprecationWarning, a SyntaxWarning from 3.12 on.  Compiled in memory,
     # since compileall would write src/**/__pycache__.
-    paths = sorted(SRC.glob("*.py"))
-    assert paths
     found = []
-    for path in paths:
+    for name, text, _ in _modules():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                compile(path.read_bytes(), str(path), "exec")
+                compile(text, name, "exec")
             except SyntaxError as exc:
-                found.append("%s: %s" % (path.name, exc))
+                found.append("%s: %s" % (name, exc))
     assert found == []
 
 
 def test_no_assert_statements():
     # Invariants are real checks: python -O strips assert statements.
-    paths = sorted(SRC.glob("*.py"))
-    assert paths
-    found = [
-        "%s:%d" % (path.name, node.lineno)
-        for path in paths
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Assert)
-    ]
+    found = ["%s:%d" % (name, node.lineno)
+             for name, _, nodes in _modules() for node in nodes
+             if isinstance(node, ast.Assert)]
     assert found == []
 
 
 def _absolute_imports():
     """(file:line, module) for every absolute import under src/alphafrac."""
-    paths = sorted(SRC.glob("*.py"))
-    assert paths
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for file_name, _, nodes in _modules():
+        for node in nodes:
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -62,7 +72,7 @@ def _absolute_imports():
             else:
                 continue
             for name in names:
-                yield "%s:%d" % (path.name, node.lineno), name
+                yield "%s:%d" % (file_name, node.lineno), name
 
 
 def test_src_imports_stdlib_only():
@@ -94,12 +104,10 @@ def test_unchecked_constructors_stay_in_symmetry():
     # validation, which is sound only for the group generators' images;
     # every other module takes outside input through the checking __init__.
     allowed = {"expansion.py", "symmetry.py"}
-    paths = sorted(SRC.glob("*.py"))
-    assert paths
     found = [
-        "%s:%d" % (path.name, node.lineno)
-        for path in paths if path.name not in allowed
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        "%s:%d" % (name, node.lineno)
+        for name, _, nodes in _modules() if name not in allowed
+        for node in nodes
         if (isinstance(node, ast.Attribute) and node.attr == "_from_checked")
         or (isinstance(node, ast.Name) and node.id == "_from_checked")
         or (isinstance(node, ast.Constant) and node.value == "_from_checked")
@@ -111,13 +119,11 @@ def test_representation_stays_in_polyring():
     # A Polynomial's integer numerators and denominator are polyring's
     # private representation; every other module reads coeffs, coeff(k)
     # and lead, so the representation can change in one place.
-    paths = sorted(SRC.glob("*.py"))
-    assert paths
     private = {"_num", "_den"}
     found = [
-        "%s:%d" % (path.name, node.lineno)
-        for path in paths if path.name != "polyring.py"
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        "%s:%d" % (name, node.lineno)
+        for name, _, nodes in _modules() if name != "polyring.py"
+        for node in nodes
         if (isinstance(node, ast.Attribute) and node.attr in private)
         or (isinstance(node, ast.Constant) and node.value in private)
     ]
@@ -169,7 +175,7 @@ def test_mutant_table_matches_the_code():
     # in its file, or a node id that names no test.
     mutants = _load("mutants", TESTS / "mutants.py")
     table = mutants.MUTANTS
-    assert len(table) >= 38
+    assert len(table) >= 41
     assert len({name for name, *_ in table}) == len(table)
     counts = [(name, (ROOT / path).read_text(encoding="utf-8").count(snippet))
               for name, path, snippet, _, _ in table]
