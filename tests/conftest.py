@@ -1,4 +1,6 @@
+import io
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,21 +17,92 @@ from alphafrac import (
     SpecialDivisor,
     expansion_to_triple,
 )
+from alphafrac.cli import main
 from alphafrac.polyring import Polynomial, as_fraction
+
+
+def P(*coeffs):
+    return Polynomial(coeffs)
+
+
+def F(*args):
+    return Fraction(*args)
+
+
+def make_expansion(b0, block, alpha):
+    """The Expansion [b0; block]_(alpha), by the public constructors; the
+    names are the wire's, so make_expansion(**record) reads a record."""
+    return Expansion(b0, block, AlphaSequence(alpha))
+
+
+# The paper's worked genus-1 example (section 4), as the CLI reads it:
+# A = x - 6, B = -(3x - 7)/2, C = -x^2 + 4x - 2 over the shifts (1, 3, 4),
+# its expansion [1; -3, 1, 3]_(1,3,4), and its Jacobi triple, with beta =
+# -3/2 and R = B^2 - AC; SECT4_INPUT is the expand request.  The
+# pure-periodic example is pure-n3 of alphafrac.datasets.  Tests copy a
+# payload before they change it.
+SECT4_ALPHA_JSON = ["1", "3", "4"]
+SECT4_TRIPLE_JSON = {"A": ["-6", "1"], "B": ["7/2", "-3/2"],
+                     "C": ["-2", "4", "-1"]}
+SECT4_INPUT = dict(SECT4_TRIPLE_JSON, alpha=SECT4_ALPHA_JSON)
+SECT4_EXPANSION_JSON = {"b0": "1", "block": ["-3", "1", "3"],
+                        "alpha": SECT4_ALPHA_JSON}
+SECT4_R_JSON = ["1/4", "31/2", "-31/4", "1"]
+SECT4_JACOBI_JSON = {"U": ["-6", "1"], "V": ["-11/2"],
+                     "W": ["5", "-7/4", "1"], "R": SECT4_R_JSON}
+PURE_N3_TRIPLE_JSON = {"A": ["0", "1"], "B": ["-1", "-1/2"],
+                       "C": ["2", "1", "-1"]}
+PURE_N3_EXPANSION_JSON = {"b0": "1", "block": ["1", "1", "1"],
+                          "alpha": ["0", "1", "2"]}
+
+# The same examples as library values, built from the payloads above.
+SECT4_ALPHA = AlphaSequence(SECT4_ALPHA_JSON)
+SECT4_TRIPLE = AlphaTriple(*(Polynomial(SECT4_TRIPLE_JSON[k]) for k in "ABC"))
+SECT4 = make_expansion(**SECT4_EXPANSION_JSON)
+SECT4_R = Polynomial(SECT4_R_JSON)
+PURE_N3_TRIPLE = AlphaTriple(*(Polynomial(PURE_N3_TRIPLE_JSON[k])
+                               for k in "ABC"))
+PURE_N3 = make_expansion(**PURE_N3_EXPANSION_JSON)
+
+
+def sect4_jacobi():
+    """The example's Jacobi triple.  Built on call: its constructor checks
+    V^2 + UW = R with polyring's arithmetic, so a fault there fails the
+    tests that use it, not the loading of every test module."""
+    return JacobiTriple(*(Polynomial(SECT4_JACOBI_JSON[k]) for k in "UVWR"))
 
 
 @pytest.fixture
 def sect4_triple():
-    # A = x - 6, B = -(3x - 7)/2, C = -x^2 + 4x - 2
-    return AlphaTriple(
-        Polynomial(["-6", "1"]),
-        Polynomial(["7/2", "-3/2"]),
-        Polynomial(["-2", "4", "-1"]))
+    return SECT4_TRIPLE
 
 
 @pytest.fixture
 def sect4_alpha():
-    return AlphaSequence([1, 3, 4])
+    return SECT4_ALPHA
+
+
+def run_cli(argv, stdin_text=None):
+    """alphafrac.cli.main(argv) in-process, with stdin_text (or nothing) as
+    stdin; returns (exit code, stdout text, stderr text)."""
+    streams = sys.stdin, sys.stdout, sys.stderr
+    out, err = io.StringIO(), io.StringIO()
+    sys.stdin, sys.stdout, sys.stderr = (
+        io.StringIO(stdin_text or ""), out, err)
+    try:
+        code = main(argv)
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = streams
+    return code, out.getvalue(), err.getvalue()
+
+
+def to_sympy(p):
+    """p as a sympy polynomial in x over QQ.  sympy is test-only and
+    imported here, so that this module loads without it."""
+    import sympy
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(p.coeffs)], sympy.Symbol("x"),
+                      domain="QQ")
 
 
 def random_rational(rng, lo=-10, hi=10, max_den=4, nonzero=False):

@@ -234,6 +234,23 @@ MUTANTS = [
      "            out = [a * m for a in out]\n",
      "",
      ["tests/test_polyring.py::TestProperties::test_division_invariant"]),
+    # The Y/W fallback: (Y, W) at al, peeled by the b_i found so far.
+    ("the peel's Y/W fallback without its scalar recurrence", EXPANSION,
+     "            for a, c in zip(alphas, bs):\n"
+     "                x, z = z, (x - c * z) / (al - a)\n",
+     "",
+     ["tests/test_expansion.py::TestPeelZeroPivot::test_y_over_w_after_step_0",
+      "tests/test_expansion_oracle.py::test_step_matches_peel"]),
+    ("the peel's Y/W recurrence divides by a - al", EXPANSION,
+     "(x - c * z) / (al - a)",
+     "(x - c * z) / (a - al)",
+     ["tests/test_expansion.py::TestPeelZeroPivot::test_y_over_w_after_step_0",
+      "tests/test_expansion_oracle.py::test_step_matches_peel"]),
+    ("the peel's Y/W recurrence adds c * z", EXPANSION,
+     "(x - c * z) / (al - a)",
+     "(x + c * z) / (al - a)",
+     ["tests/test_expansion.py::TestPeelZeroPivot::test_y_over_w_after_step_0",
+      "tests/test_expansion_oracle.py::test_step_matches_peel"]),
     # Equivalent at integer shifts, where s = 1.
     ("_peel_step without den *= sk // s", POLYRING,
      "    den *= sk // s\n",

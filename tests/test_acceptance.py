@@ -6,14 +6,12 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 import functools
 import random
 import time
-from fractions import Fraction
 
 import pytest
 
 from alphafrac import (
     AlphaSequence,
     AlphaTriple,
-    Expansion,
     NotAdmissible,
     ZeroPivot,
     admissible_decompose,
@@ -37,19 +35,16 @@ from alphafrac import (
 from alphafrac.polyring import Polynomial, rational_sqrt
 
 from conftest import (
+    F,
+    P,
+    SECT4_ALPHA,
+    SECT4_TRIPLE,
     lagrange,
+    make_expansion,
     random_expansion,
     random_jacobi,
     random_rational,
 )
-
-
-def F(*args):
-    return Fraction(*args)
-
-
-def P(*coeffs):
-    return Polynomial(coeffs)
 
 
 def reported(name):
@@ -65,8 +60,6 @@ def reported(name):
         return inner
     return wrap
 
-
-SECT4_TRIPLE = AlphaTriple(P("-6", "1"), P("7/2", "-3/2"), P("-2", "4", "-1"))
 
 # the twelve expansions of the worked genus-1 example, two per shift order
 SECT4_TABLE = {
@@ -87,7 +80,7 @@ SECT4_TABLE = {
 
 def _table_expansion(order, which):
     b0, block = SECT4_TABLE[order][which]
-    return Expansion(b0, [F(b) for b in block], AlphaSequence(order))
+    return make_expansion(b0, block, order)
 
 
 def _random_corpus():
@@ -129,7 +122,7 @@ def test_orbit_closure():
 
 @reported("admissibility decomposition")
 def test_admissibility():
-    alpha = AlphaSequence([1, 3, 4])
+    alpha = SECT4_ALPHA
     s = admissible_decompose(SECT4_TRIPLE.discriminant, alpha)
     assert s == P("-7/2", "1/2")  # (x - 7)/2
     with pytest.raises(NotAdmissible):

@@ -10,9 +10,7 @@ domain error from ``alphafrac.errors`` (exit 1) or ``MalformedInput``
 module is skipped.
 """
 import copy
-import io
 import json
-import sys
 
 import pytest
 
@@ -20,34 +18,38 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from alphafrac import errors  # noqa: E402
-from alphafrac.cli import main  # noqa: E402
 
-TRIPLE = {"A": ["-6", "1"], "B": ["7/2", "-3/2"], "C": ["-2", "4", "-1"]}
-ALPHA = ["1", "3", "4"]
-EXPANSION = {"b0": "1", "block": ["-3", "1", "3"], "alpha": ALPHA}
-PURE_TRIPLE = {"A": ["0", "1"], "B": ["-1", "-1/2"], "C": ["2", "1", "-1"]}
-PURE_EXPANSION = {"b0": "1", "block": ["1", "1", "1"],
-                  "alpha": ["0", "1", "2"]}
-R = ["1/4", "31/2", "-31/4", "1"]
-JACOBI = {"U": ["-6", "1"], "V": ["-11/2"], "W": ["5", "-7/4", "1"], "R": R}
+from conftest import (  # noqa: E402
+    PURE_N3_EXPANSION_JSON,
+    PURE_N3_TRIPLE_JSON,
+    SECT4_ALPHA_JSON,
+    SECT4_EXPANSION_JSON,
+    SECT4_INPUT,
+    SECT4_JACOBI_JSON,
+    SECT4_R_JSON,
+    SECT4_TRIPLE_JSON,
+    run_cli,
+)
 
 # argv and golden payload (None: the subcommand reads no input)
 GOLDEN = [
-    (["expand"], dict(TRIPLE, alpha=ALPHA)),
-    (["pure-expand"], dict(PURE_TRIPLE, alpha=["0", "1", "2"])),
-    (["triple"], EXPANSION),
-    (["admissible"], {"R": R, "alpha": ALPHA}),
-    (["act", "--word", '["sigma:1", "epspi"]'], EXPANSION),
-    (["orbit"], EXPANSION),
-    (["orbit", "--pure"], PURE_EXPANSION),
-    (["jacobi-to-triple"], dict(JACOBI, beta="-3/2")),
-    (["triple-to-jacobi"], TRIPLE),
+    (["expand"], SECT4_INPUT),
+    (["pure-expand"],
+     dict(PURE_N3_TRIPLE_JSON, alpha=PURE_N3_EXPANSION_JSON["alpha"])),
+    (["triple"], SECT4_EXPANSION_JSON),
+    (["admissible"], {"R": SECT4_R_JSON, "alpha": SECT4_ALPHA_JSON}),
+    (["act", "--word", '["sigma:1", "epspi"]'], SECT4_EXPANSION_JSON),
+    (["orbit"], SECT4_EXPANSION_JSON),
+    (["orbit", "--pure"], PURE_N3_EXPANSION_JSON),
+    (["jacobi-to-triple"], dict(SECT4_JACOBI_JSON, beta="-3/2")),
+    (["triple-to-jacobi"], SECT4_TRIPLE_JSON),
     (["divisor-to-jacobi"],
-     {"points": [{"lambda": "6", "mu": "-11/2"}], "R": R}),
-    (["jacobi-to-divisor"], JACOBI),
-    (["pure-beta"], dict(JACOBI, alpha_n="4")),
-    (["verify"], {"expansion": EXPANSION, "triple": TRIPLE}),
-    (["residual", "--lambda", "5/2"], TRIPLE),
+     {"points": [{"lambda": "6", "mu": "-11/2"}], "R": SECT4_R_JSON}),
+    (["jacobi-to-divisor"], SECT4_JACOBI_JSON),
+    (["pure-beta"], dict(SECT4_JACOBI_JSON, alpha_n="4")),
+    (["verify"],
+     {"expansion": SECT4_EXPANSION_JSON, "triple": SECT4_TRIPLE_JSON}),
+    (["residual", "--lambda", "5/2"], SECT4_TRIPLE_JSON),
     (["example", "--name", "sect4"], None),
 ]
 IDS = [" ".join(argv[:2]) for argv, _ in GOLDEN]
@@ -69,19 +71,6 @@ DOMAIN_ERRORS = {
     if isinstance(obj, type) and issubclass(obj, errors.AlphaFractionError)
     and obj is not errors.AlphaFractionError
 }
-
-
-def run_main(argv, payload):
-    """main(argv) on the payload as stdin; returns (code, stdout, stderr)."""
-    streams = sys.stdin, sys.stdout, sys.stderr
-    out, err = io.StringIO(), io.StringIO()
-    sys.stdin, sys.stdout, sys.stderr = (
-        io.StringIO(json.dumps(payload)), out, err)
-    try:
-        code = main(argv)
-    finally:
-        sys.stdin, sys.stdout, sys.stderr = streams
-    return code, out.getvalue(), err.getvalue()
 
 
 def assert_contract(code, out, err):
@@ -157,7 +146,7 @@ def mutated_argv(draw, argv):
 
 @pytest.mark.parametrize("argv, payload", GOLDEN, ids=IDS)
 def test_golden_payload_succeeds(argv, payload):
-    code, out, err = run_main(argv, payload)
+    code, out, err = run_cli(argv, json.dumps(payload))
     assert (code, err) == (0, "")
     json.loads(out)
 
@@ -166,11 +155,13 @@ def test_golden_payload_succeeds(argv, payload):
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
 @given(data=st.data())
 def test_mutated_payload_keeps_contract(argv, payload, data):
-    assert_contract(*run_main(*data.draw(mutated_requests(argv, payload))))
+    argv, payload = data.draw(mutated_requests(argv, payload))
+    assert_contract(*run_cli(argv, json.dumps(payload)))
 
 
 @pytest.mark.parametrize("argv, payload", GOLDEN, ids=IDS)
 @settings(derandomize=True, database=None, max_examples=20, deadline=None)
 @given(data=st.data())
 def test_mutated_argv_keeps_contract(argv, payload, data):
-    assert_contract(*run_main(data.draw(mutated_argv(argv)), payload))
+    assert_contract(*run_cli(data.draw(mutated_argv(argv)),
+                             json.dumps(payload)))

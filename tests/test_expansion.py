@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -27,20 +28,20 @@ from alphafrac import (
 from alphafrac.polyring import Polynomial
 
 from conftest import (
+    F,
+    P,
+    PURE_N3,
+    PURE_N3_TRIPLE,
+    SECT4,
+    SECT4_R,
+    SECT4_TRIPLE,
     linear_factor,
+    make_expansion,
     random_expansion,
     random_jacobi,
     random_rational,
     reference_verify,
 )
-
-
-def P(*coeffs):
-    return Polynomial(coeffs)
-
-
-def F(*args):
-    return Fraction(*args)
 
 
 def det(m):
@@ -60,13 +61,6 @@ def perturbed(rng, p):
     return Polynomial(coeffs)
 
 
-def make_expansion(b0, block, alphas):
-    return Expansion(b0, [F(b) for b in block], AlphaSequence(alphas))
-
-
-SECT4 = make_expansion(1, [-3, 1, 3], [1, 3, 4])
-
-
 class TestAlphaSequence:
     def test_even_period_rejected(self):
         with pytest.raises(ValueError):
@@ -76,12 +70,12 @@ class TestAlphaSequence:
         with pytest.raises(ValueError):
             AlphaSequence([1, 1, 2])
 
-    def test_genus(self):
-        assert AlphaSequence([1, 3, 4]).genus == 1
+    def test_genus(self, sect4_alpha):
+        assert sect4_alpha.genus == 1
         assert AlphaSequence([0]).genus == 0
 
-    def test_vanishing_poly(self):
-        assert AlphaSequence([1, 3, 4]).vanishing_poly() == \
+    def test_vanishing_poly(self, sect4_alpha):
+        assert sect4_alpha.vanishing_poly() == \
             P("-12", "19", "-8", "1")
 
 
@@ -95,8 +89,7 @@ class TestRepr:
         assert repr(e) == "[-1/5; -5/2, 6/5, 3/10]_(1, 3, 4)"
 
     def test_alpha_triple(self):
-        t = AlphaTriple(P("-6", "1"), P("7/2", "-3/2"), P("-2", "4", "-1"))
-        assert repr(t) == \
+        assert repr(SECT4_TRIPLE) == \
             "AlphaTriple(A=x - 6, B=-3/2*x + 7/2, C=-x^2 + 4*x - 2)"
 
 
@@ -104,11 +97,11 @@ def twins():
     """One pair of equal values, built apart, of each value type."""
     rng = random.Random(20)
     j = random_jacobi(rng, 2)
-    t = (P("-6", "1"), P("7/2", "-3/2"), P("-2", "4", "-1"))
+    t = SECT4_TRIPLE
     return [
         (AlphaSequence([1, 3, 4]), AlphaSequence(["1", F(3), 4])),
         (SECT4, make_expansion("1", [-3, 1, 3], [1, 3, 4])),
-        (AlphaTriple(*t), AlphaTriple(*[Polynomial(p.coeffs) for p in t])),
+        (t, AlphaTriple(*[Polynomial(p.coeffs) for p in (t.A, t.B, t.C)])),
         (j, JacobiTriple(*[Polynomial(p.coeffs)
                            for p in (j.U, j.V, j.W, j.R)])),
         (P("1/2", 3), P(F(1, 2), "3")),
@@ -187,8 +180,7 @@ class TestConvergents:
 
     def test_pure_last_step(self):
         # b_N* = 0: P_N = (x - alpha_N) P_{N-2}, Q_N likewise
-        e = make_expansion(1, [1, 1, 1], [0, 1, 2])
-        pairs = convergents(e)
+        pairs = convergents(PURE_N3)
         factor = P("-2", "1")
         assert pairs[4].P == factor * pairs[2].P
         assert pairs[4].Q == factor * pairs[2].Q
@@ -215,8 +207,7 @@ class TestExpansionToTriple:
         assert half_trace == P("-7/2", "1/2")
 
     def test_pure_n3(self):
-        e = make_expansion(1, [1, 1, 1], [0, 1, 2])
-        triple, half_trace = expansion_to_triple(e)
+        triple, half_trace = expansion_to_triple(PURE_N3)
         assert triple.A == P("0", "1")
         assert triple.B == P("-1", "-1/2")
         assert triple.C == -(P("-2", "1") * P("1", "1"))
@@ -232,8 +223,7 @@ class TestExpansionToTriple:
 
 class TestAdmissibleDecompose:
     def test_sect4(self, sect4_alpha):
-        r = P("1/4", "31/2", "-31/4", "1")
-        assert admissible_decompose(r, sect4_alpha) == P("-7/2", "1/2")
+        assert admissible_decompose(SECT4_R, sect4_alpha) == P("-7/2", "1/2")
 
     def test_r_equals_vanishing(self, sect4_alpha):
         s = admissible_decompose(sect4_alpha.vanishing_poly(), sect4_alpha)
@@ -468,9 +458,8 @@ class TestHighHeight:
 
 class TestPureExpand:
     def test_pure_n3(self):
-        triple = AlphaTriple(P("0", "1"), P("-1", "-1/2"), P("2", "1", "-1"))
-        e = pure_expand(triple, AlphaSequence([0, 1, 2]))
-        assert e == make_expansion(1, [1, 1, 1], [0, 1, 2])
+        e = pure_expand(PURE_N3_TRIPLE, PURE_N3.alpha)
+        assert e == PURE_N3
         assert e.is_pure
 
     def test_n1_pure(self):
@@ -550,6 +539,36 @@ class TestVerify:
             report = verify_expansion(e, triple)
             assert report == reference_verify(e, triple)
             assert report["pass"] is passes
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no limit on int <-> str conversion")
+class TestIntStrLimit:
+    """The library never changes the interpreter's limit on int <-> str
+    conversion, so text of an integer past it raises the interpreter's
+    ValueError; a caller who needs such text lifts the limit."""
+
+    def test_text_past_the_limit(self, sect4_triple):
+        big = Polynomial([10 ** 4400, 1])
+        # C(alpha_N) in NotPure's text has about 8,000 digits.
+        alpha = AlphaSequence([1, 3, 10 ** 4000])
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+            for text in (str, repr):
+                with pytest.raises(ValueError, match="Exceeds the limit"):
+                    text(big)
+            with pytest.raises(ValueError, match="Exceeds the limit"):
+                pure_expand(sect4_triple, alpha)
+            assert sys.get_int_max_str_digits() == \
+                sys.int_info.default_max_str_digits
+            sys.set_int_max_str_digits(0)
+            assert str(big) == "x + 1" + "0" * 4400
+            with pytest.raises(NotPure):
+                pure_expand(sect4_triple, alpha)
+            assert sys.get_int_max_str_digits() == 0
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestNumericResidual:

@@ -1,7 +1,6 @@
 import math
 import random
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 
@@ -24,6 +23,9 @@ from alphafrac import (
 from alphafrac.polyring import Polynomial, rational_roots
 
 from conftest import (
+    F,
+    P,
+    SECT4_R,
     divisor_reference,
     euclid_first_roots,
     lagrange,
@@ -31,26 +33,16 @@ from conftest import (
     random_jacobi,
     random_polynomial,
     random_rational,
+    sect4_jacobi,
     three_pass_jacobi,
 )
-
-
-def P(*coeffs):
-    return Polynomial(coeffs)
-
-
-def F(*args):
-    return Fraction(*args)
-
-
-R_SECT4 = P("1/4", "31/2", "-31/4", "1")
 
 
 class TestJacobiTriple:
     def test_relation_enforced(self):
         with pytest.raises(ValueError):
             JacobiTriple(P("-6", "1"), P("-11/2"), P("5", "-7/4", "1"),
-                         R_SECT4 + 1)
+                         SECT4_R + 1)
 
     def test_degree_enforced(self):
         x = P("0", "1")
@@ -66,17 +58,16 @@ class TestJacobiTriple:
     ])
     def test_monic_enforced(self, u, w, message):
         with pytest.raises(ValueError, match=message):
-            JacobiTriple(u, P("-11/2"), w, R_SECT4)
+            JacobiTriple(u, P("-11/2"), w, SECT4_R)
 
     def test_repr(self):
-        j = JacobiTriple(P("-6", "1"), P("-11/2"), P("5", "-7/4", "1"),
-                         R_SECT4)
-        assert repr(j) == ("JacobiTriple(U=x - 6, V=-11/2, W=x^2 - 7/4*x + 5,"
-                           " R=x^3 - 31/4*x^2 + 31/2*x + 1/4)")
+        assert repr(sect4_jacobi()) == (
+            "JacobiTriple(U=x - 6, V=-11/2, W=x^2 - 7/4*x + 5,"
+            " R=x^3 - 31/4*x^2 + 31/2*x + 1/4)")
 
     @pytest.mark.parametrize("field", range(4))
     def test_fields_are_polynomials(self, field):
-        args = [P("-6", "1"), P("-11/2"), P("5", "-7/4", "1"), R_SECT4]
+        args = [P("-6", "1"), P("-11/2"), P("5", "-7/4", "1"), SECT4_R]
         args[field] = list(args[field].coeffs)
         with pytest.raises(TypeError,
                            match="^%s must be a Polynomial" % "UVWR"[field]):
@@ -131,11 +122,9 @@ def _mutated_divisor(rng):
 class TestFromDivisor:
     def test_genus1_point(self):
         # R(6) = 121/4, mu = -11/2
-        j = jacobi_from_divisor([(6, F(-11, 2))], R_SECT4)
-        assert j.U == P("-6", "1")
-        assert j.V == P("-11/2")
-        assert j.W == P("5", "-7/4", "1")
-        assert j.V * j.V + j.U * j.W == R_SECT4
+        j = jacobi_from_divisor([(6, F(-11, 2))], SECT4_R)
+        assert j == sect4_jacobi()
+        assert j.V * j.V + j.U * j.W == SECT4_R
 
     def test_weierstrass_point(self):
         # root of R: mu = 0, V = 0, W = R / (x - root)
@@ -151,11 +140,11 @@ class TestFromDivisor:
 
     def test_repeated_abscissa_rejected(self):
         with pytest.raises(RepeatedAbscissa):
-            jacobi_from_divisor([(5, 10), (5, 10)], R_SECT4)
+            jacobi_from_divisor([(5, 10), (5, 10)], SECT4_R)
 
     def test_off_curve_rejected(self):
         with pytest.raises(PointOffCurve):
-            jacobi_from_divisor([(6, 1)], R_SECT4)
+            jacobi_from_divisor([(6, 1)], SECT4_R)
 
     @pytest.mark.parametrize("points, index", [
         # (6, -11/2) is on the curve: only the extra entries are wrong.
@@ -166,12 +155,12 @@ class TestFromDivisor:
     ])
     def test_point_must_be_a_pair(self, points, index):
         with pytest.raises(ValueError, match="^point %d " % index):
-            jacobi_from_divisor(points, R_SECT4)
+            jacobi_from_divisor(points, SECT4_R)
 
     def test_point_is_not_a_dict(self):
         # Indexed, a two-entry dict raised KeyError.
         with pytest.raises(TypeError, match="^point 0 must be a pair"):
-            jacobi_from_divisor([{"lambda": 6, "mu": "-11/2"}], R_SECT4)
+            jacobi_from_divisor([{"lambda": 6, "mu": "-11/2"}], SECT4_R)
 
     @pytest.mark.parametrize("point", [
         {6, "-11/2"}, frozenset([6, 1]), "6", b"61", 6, None, F(6)])
@@ -179,7 +168,7 @@ class TestFromDivisor:
         # Whichever check refuses the point, the text names its index.
         with pytest.raises(TypeError, match=r"^point 1 must be a pair "
                                             r"\(lambda, mu\), got "):
-            jacobi_from_divisor([(6, F(-11, 2)), point], R_SECT4)
+            jacobi_from_divisor([(6, F(-11, 2)), point], SECT4_R)
 
     def test_newton_pass_matches_lagrange(self):
         # U is the product of the x - lam_i and V the Lagrange interpolant,
@@ -244,7 +233,7 @@ class TestFromDivisor:
 
     def test_off_curve_names_first_point(self):
         # Checked once the W division leaves a remainder, after repeats.
-        r = R_SECT4 * Polynomial.from_roots([7, 8])  # genus 2
+        r = SECT4_R * Polynomial.from_roots([7, 8])  # genus 2
         with pytest.raises(PointOffCurve) as info:
             jacobi_from_divisor([(1, 2), (6, 1), (7, 3)], r)
         assert str(info.value).startswith("point 0: mu^2 = 4 but R(1) = ")
@@ -254,9 +243,8 @@ class TestFromDivisor:
 
 class TestToDivisor:
     def test_genus1_inverse(self):
-        j = JacobiTriple(P("-6", "1"), P("-11/2"), P("5", "-7/4", "1"),
-                         R_SECT4)
-        assert divisor_from_jacobi(j) == (CurvePoint(F(6), F(-11, 2)),)
+        assert divisor_from_jacobi(sect4_jacobi()) == (
+            CurvePoint(F(6), F(-11, 2)),)
 
     def test_irrational_support(self):
         u = P("1", "0", "1")  # x^2 + 1
@@ -369,9 +357,8 @@ class TestRootSearch:
 
 class TestAlphaCorrespondence:
     def test_sect4_forward(self, sect4_triple):
-        j = JacobiTriple(P("-6", "1"), P("-11/2"), P("5", "-7/4", "1"),
-                         R_SECT4)
-        assert alpha_triple_from_jacobi(j, F(-3, 2)) == sect4_triple
+        got = alpha_triple_from_jacobi(sect4_jacobi(), F(-3, 2))
+        assert got == sect4_triple
 
     def test_beta_zero(self):
         rng = random.Random(53)
@@ -382,10 +369,7 @@ class TestAlphaCorrespondence:
     def test_sect4_inverse(self, sect4_triple):
         j, beta = jacobi_from_alpha_triple(sect4_triple)
         assert beta == F(-3, 2)
-        assert j.U == P("-6", "1")
-        assert j.V == P("-11/2")
-        assert j.W == P("5", "-7/4", "1")
-        assert j.R == R_SECT4
+        assert j == sect4_jacobi()
 
     def test_low_degree_b(self):
         # deg B < g: beta = 0 and V = B
@@ -418,8 +402,7 @@ class TestAlphaCorrespondence:
 
 class TestPureBeta:
     def test_sect4_example(self):
-        j = JacobiTriple(P("-6", "1"), P("-11/2"), P("5", "-7/4", "1"),
-                         R_SECT4)
+        j = sect4_jacobi()
         betas = pure_beta_candidates(j, 4)
         assert betas == [F(-2), F(-7, 2)]
         for beta in betas:
@@ -428,8 +411,7 @@ class TestPureBeta:
 
     def test_degenerate_linear_case(self):
         # U(alpha_N) = 0, V(alpha_N) != 0: single root W / (2V)
-        j = JacobiTriple(P("-6", "1"), P("-11/2"), P("5", "-7/4", "1"),
-                         R_SECT4)
+        j = sect4_jacobi()
         betas = pure_beta_candidates(j, 6)
         assert betas == [j.W(6) / (2 * j.V(6))]
         t = alpha_triple_from_jacobi(j, betas[0])

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-sympy = pytest.importorskip("sympy")
+pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
@@ -19,7 +19,7 @@ from alphafrac import (  # noqa: E402
 )
 from alphafrac.polyring import Polynomial  # noqa: E402
 
-X = sympy.Symbol("x")
+from conftest import to_sympy  # noqa: E402
 
 small = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
 # Heights up to 10^6 / 10^4: a search over the divisors of U(0) would stall.
@@ -47,11 +47,6 @@ def jacobi_triples(draw):
     v = Polynomial(draw(st.lists(small, min_size=g, max_size=g)))
     w = draw(monic(g + 1))
     return JacobiTriple(u, v, w, v * v + u * w)
-
-
-def to_sympy(p):
-    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
-                       for c in reversed(p.coeffs)], X, domain="QQ")
 
 
 def from_sympy(p):

@@ -31,26 +31,20 @@ from alphafrac import (  # noqa: E402
 )
 from alphafrac.polyring import Polynomial, as_fraction  # noqa: E402
 
+from conftest import SECT4, SECT4_TRIPLE, sect4_jacobi  # noqa: E402
 
-def P(*coeffs):
-    return Polynomial(coeffs)
-
-
-A, B, C = P("-6", "1"), P("7/2", "-3/2"), P("-2", "4", "-1")
-ALPHA = AlphaSequence([1, 3, 4])
-E = Expansion(1, [-3, 1, 3], ALPHA)
-R = P("1/4", "31/2", "-31/4", "1")
-U, V, W = P("-6", "1"), P("-11/2"), P("5", "-7/4", "1")
-J = JacobiTriple(U, V, W, R)
+A, B, C = SECT4_TRIPLE.A, SECT4_TRIPLE.B, SECT4_TRIPLE.C
+J = sect4_jacobi()
+U, V, W, R = J.U, J.V, J.W, J.R
 
 # Each entry puts the junk x in one argument.
 CALLS = {
     "as_fraction": lambda x: as_fraction(x),
     "Polynomial": lambda x: Polynomial(x),
     "AlphaSequence": lambda x: AlphaSequence(x),
-    "Expansion.b0": lambda x: Expansion(x, [-3, 1, 3], ALPHA),
-    "Expansion.block": lambda x: Expansion(1, x, ALPHA),
-    "Expansion.alpha": lambda x: Expansion(1, [-3, 1, 3], x),
+    "Expansion.b0": lambda x: Expansion(x, SECT4.block, SECT4.alpha),
+    "Expansion.block": lambda x: Expansion(SECT4.b0, x, SECT4.alpha),
+    "Expansion.alpha": lambda x: Expansion(SECT4.b0, SECT4.block, x),
     "AlphaTriple.A": lambda x: AlphaTriple(x, B, C),
     "AlphaTriple.B": lambda x: AlphaTriple(A, x, C),
     "AlphaTriple.C": lambda x: AlphaTriple(A, B, x),
@@ -66,14 +60,13 @@ CALLS = {
         [(6, "-11/2"), (6, 1)], x),
     "jacobi_from_divisor.R": lambda x: jacobi_from_divisor(
         [(6, "-11/2")], x),
-    "apply_word": lambda x: apply_word(E, x),
-    "apply_word.letter": lambda x: apply_word(E, ["sigma:1", x]),
-    "apply_sigma": lambda x: apply_sigma(E, x),
-    "numeric_residual.lambda": lambda x: numeric_residual(
-        AlphaTriple(A, B, C), x),
+    "apply_word": lambda x: apply_word(SECT4, x),
+    "apply_word.letter": lambda x: apply_word(SECT4, ["sigma:1", x]),
+    "apply_sigma": lambda x: apply_sigma(SECT4, x),
+    "numeric_residual.lambda": lambda x: numeric_residual(SECT4_TRIPLE, x),
     "pure_beta_candidates": lambda x: pure_beta_candidates(J, x),
     "alpha_triple_from_jacobi": lambda x: alpha_triple_from_jacobi(J, x),
-    "orbit.pure": lambda x: orbit(E, pure=x),
+    "orbit.pure": lambda x: orbit(SECT4, pure=x),
 }
 
 # JSON values, with the rational strings the wire grammar must refuse.

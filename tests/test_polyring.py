@@ -18,15 +18,13 @@ from alphafrac.polyring import (
 from alphafrac.symmetry import parse_word
 
 from conftest import (
+    P,
+    SECT4_R,
     linear_factor,
     random_polynomial,
     random_rational,
     reference_str,
 )
-
-
-def P(*coeffs):
-    return Polynomial(coeffs)
 
 
 class TestRingOps:
@@ -210,13 +208,12 @@ class TestEval:
 
     def test_direct_substitution(self):
         # (864 - 1116 + 372 + 1)/4 = 121/4
-        p = P("1/4", "31/2", "-31/4", "1")
-        assert p(6) == Fraction(121, 4)
+        assert SECT4_R(6) == Fraction(121, 4)
 
     def test_rational_point(self):
         # At x = r/s Horner is homogeneous in s:
         # 1/4 + 31/4 - 31/16 + 1/8 = 99/16.
-        p = P("1/4", "31/2", "-31/4", "1")
+        p = SECT4_R
         assert p(Fraction(1, 2)) == Fraction(99, 16)
         assert p("-2/3") == Fraction(-1493, 108)
 

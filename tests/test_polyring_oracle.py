@@ -25,7 +25,7 @@ from alphafrac.polyring import (  # noqa: E402
     rational_roots,
 )
 
-from conftest import linear_factor  # noqa: E402
+from conftest import linear_factor, to_sympy  # noqa: E402
 
 X = sympy.Symbol("x")
 
@@ -49,12 +49,6 @@ nonzero_polys = polys.filter(bool)
 
 examples = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
-
-
-def to_sympy(p):
-    return sympy.Poly.from_list(
-        [sympy.Rational(c.numerator, c.denominator)
-         for c in reversed(p.coeffs)], X, domain="QQ")
 
 
 def as_fraction(r):

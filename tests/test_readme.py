@@ -8,18 +8,18 @@ lists README keeps, of subcommands and of example names, are checked
 against the parser and the datasets, and README names no private helper:
 how the code works is told in its docstrings.
 """
-import io
 import pathlib
 import re
 import shlex
-import sys
 from fractions import Fraction
 
 import pytest
 
 from alphafrac import AlphaSequence, Expansion
-from alphafrac.cli import build_parser, main
+from alphafrac.cli import build_parser
 from alphafrac.datasets import EXAMPLE_NAMES
+
+from conftest import run_cli
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -124,11 +124,9 @@ def test_cli_section_has_four_examples():
 
 @pytest.mark.parametrize("argv, stdin", CLI_EXAMPLES,
                          ids=[" ".join(argv) for argv, _ in CLI_EXAMPLES])
-def test_cli_example_exits_0(argv, stdin, capsys, monkeypatch):
-    if stdin is not None:
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
-    assert main(argv) == 0
-    out, err = capsys.readouterr()
+def test_cli_example_exits_0(argv, stdin):
+    code, out, err = run_cli(argv, stdin)
+    assert code == 0
     assert out and err == ""
 
 

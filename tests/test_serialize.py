@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from alphafrac import AlphaSequence, Expansion
+from alphafrac import AlphaSequence
 from alphafrac.polyring import Polynomial
 from alphafrac.serialize import (
     alpha_from_json,
@@ -24,7 +24,7 @@ from alphafrac.serialize import (
 )
 from alphafrac.symmetry import orbit
 
-from conftest import random_expansion, random_jacobi
+from conftest import SECT4, random_expansion, random_jacobi
 
 
 class TestRationalGrammar:
@@ -107,8 +107,7 @@ class TestRecordRoundTrips:
         assert divisor_from_json(data) == (points, r)
 
     def test_orbit_record(self):
-        e = Expansion(1, [-3, 1, 3], AlphaSequence([1, 3, 4]))
-        data = orbit_to_json(orbit(e))
+        data = orbit_to_json(orbit(SECT4))
         assert data["complete"] is True
         assert len(data["expansions"]) == 12
         assert data["skipped_edges"] == []
@@ -123,7 +122,6 @@ class TestCanonicalDumps:
         assert text.endswith("\n")
 
     def test_byte_stable(self):
-        e = Expansion(1, [-3, 1, 3], AlphaSequence([1, 3, 4]))
-        one = canonical_dumps(expansion_to_json(e))
+        one = canonical_dumps(expansion_to_json(SECT4))
         two = canonical_dumps(json.loads(one))
         assert one == two

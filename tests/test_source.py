@@ -152,6 +152,19 @@ def test_traced_names_resolve():
     assert missing == [] and aliased == []
 
 
+def test_helpers_are_defined_once():
+    # A helper that several test modules need lives in conftest.py, once;
+    # a copy in a test module would drift from it.
+    where = {}
+    for path in [TESTS / "conftest.py", *sorted(TESTS.glob("test_*.py"))]:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (isinstance(node, ast.FunctionDef)
+                    and not node.name.startswith("test")):
+                where.setdefault(node.name, []).append(path.name)
+    assert {name: files for name, files in where.items()
+            if len(files) > 1} == {}
+
+
 def _names_a_test(node_id):
     """Whether a pytest node id, file::Class::function, names a test class
     or function that its file defines, read with ast."""
@@ -175,7 +188,7 @@ def test_mutant_table_matches_the_code():
     # in its file, or a node id that names no test.
     mutants = _load("mutants", TESTS / "mutants.py")
     table = mutants.MUTANTS
-    assert len(table) >= 41
+    assert len(table) >= 44
     assert len({name for name, *_ in table}) == len(table)
     counts = [(name, (ROOT / path).read_text(encoding="utf-8").count(snippet))
               for name, path, snippet, _, _ in table]

@@ -30,28 +30,25 @@ from alphafrac.polyring import Polynomial, rational_sqrt
 from alphafrac.serialize import canonical_dumps, orbit_to_json
 from alphafrac.symmetry import SkippedEdge, parse_word
 
-from conftest import random_expansion, random_rational
-
-
-def F(*args):
-    return Fraction(*args)
-
-
-def make(b0, block, alphas):
-    return Expansion(F(b0), [F(b) for b in block], AlphaSequence(alphas))
-
-
-SECT4 = make(1, [-3, 1, 3], [1, 3, 4])
+from conftest import (
+    F,
+    PURE_N3,
+    SECT4,
+    make_expansion,
+    random_expansion,
+    random_rational,
+)
 
 
 class TestSigma:
     def test_sigma1(self):
         got = apply_sigma(SECT4, 1)
-        assert got == make(F(1, 3), [-3, F(5, 3), F(7, 3)], [3, 1, 4])
+        assert got == make_expansion(F(1, 3), [-3, F(5, 3), F(7, 3)],
+                                     [3, 1, 4])
 
     def test_sigma2(self):
         got = apply_sigma(SECT4, 2)
-        assert got == make(1, [-2, 1, 2], [1, 4, 3])
+        assert got == make_expansion(1, [-2, 1, 2], [1, 4, 3])
 
     def test_involution(self):
         rng = random.Random(23)
@@ -63,7 +60,7 @@ class TestSigma:
                     assert apply_sigma(img, k) == e
 
     def test_zero_pivot(self):
-        e = make(1, [0, 1, 2], [1, 3, 4])
+        e = make_expansion(1, [0, 1, 2], [1, 3, 4])
         with pytest.raises(ZeroPivot):
             apply_sigma(e, 1)
 
@@ -84,7 +81,7 @@ class TestSigma:
 class TestEpsPi:
     def test_sect4(self):
         got = apply_eps_pi(SECT4)
-        assert got == make(-2, [-1, 3, -3], [4, 3, 1])
+        assert got == make_expansion(-2, [-1, 3, -3], [4, 3, 1])
 
     def test_involution(self):
         rng = random.Random(29)
@@ -93,10 +90,10 @@ class TestEpsPi:
             assert apply_eps_pi(apply_eps_pi(e)) == e
 
     def test_conjugate_row(self):
-        e = make(F(-1, 5), [F(-5, 2), F(6, 5), F(3, 10)], [1, 3, 4])
+        e = make_expansion(F(-1, 5), [F(-5, 2), F(6, 5), F(3, 10)], [1, 3, 4])
         got = apply_eps_pi(e)
-        assert got == make(F(-1, 2), [F(-6, 5), F(5, 2), F(-3, 10)],
-                           [4, 3, 1])
+        assert got == make_expansion(
+            F(-1, 2), [F(-6, 5), F(5, 2), F(-3, 10)], [4, 3, 1])
 
 
 class TestWord:
@@ -110,7 +107,7 @@ class TestWord:
         # epspi negates the half-trace, so the composition lands on the
         # conjugate (4,1,3)-ordered element of the orbit.
         got = apply_word(SECT4, ["epspi", "sigma:2"])
-        assert got == make(-2, [F(-5, 3), 3, F(-7, 3)], [4, 1, 3])
+        assert got == make_expansion(-2, [F(-5, 3), 3, F(-7, 3)], [4, 1, 3])
         triple, half_trace = expansion_to_triple(got)
         orig, orig_trace = expansion_to_triple(SECT4)
         assert triple == orig
@@ -134,7 +131,7 @@ class TestWord:
             apply_word(SECT4, word)
 
     def test_zero_pivot_reports_step(self):
-        e = make(1, [0, 1, 2], [1, 3, 4])
+        e = make_expansion(1, [0, 1, 2], [1, 3, 4])
         with pytest.raises(ZeroPivot, match="step 0"):
             apply_word(e, ["sigma:1"])
 
@@ -197,20 +194,20 @@ class TestOrbit:
         result = orbit(SECT4)
         assert result.complete
         assert len(result.expansions) == 12
-        expected = {
-            make(1, [-3, 1, 3], [1, 3, 4]),
-            make(F(-1, 5), [F(-5, 2), F(6, 5), F(3, 10)], [1, 3, 4]),
-            make(1, [-2, 1, 2], [1, 4, 3]),
-            make(F(-1, 5), [F(-5, 3), F(6, 5), F(-8, 15)], [1, 4, 3]),
-            make(F(1, 3), [-3, F(5, 3), F(7, 3)], [3, 1, 4]),
-            make(-1, [F(-5, 2), 2, F(-1, 2)], [3, 1, 4]),
-            make(F(1, 3), [F(-6, 5), F(5, 3), F(8, 15)], [3, 4, 1]),
-            make(-1, [-1, 2, -2], [3, 4, 1]),
-            make(F(-1, 2), [F(-6, 5), F(5, 2), F(-3, 10)], [4, 3, 1]),
-            make(-2, [-1, 3, -3], [4, 3, 1]),
-            make(F(-1, 2), [-2, F(5, 2), F(1, 2)], [4, 1, 3]),
-            make(-2, [F(-5, 3), 3, F(-7, 3)], [4, 1, 3]),
-        }
+        expected = {make_expansion(*row) for row in [
+            (1, [-3, 1, 3], [1, 3, 4]),
+            (F(-1, 5), [F(-5, 2), F(6, 5), F(3, 10)], [1, 3, 4]),
+            (1, [-2, 1, 2], [1, 4, 3]),
+            (F(-1, 5), [F(-5, 3), F(6, 5), F(-8, 15)], [1, 4, 3]),
+            (F(1, 3), [-3, F(5, 3), F(7, 3)], [3, 1, 4]),
+            (-1, [F(-5, 2), 2, F(-1, 2)], [3, 1, 4]),
+            (F(1, 3), [F(-6, 5), F(5, 3), F(8, 15)], [3, 4, 1]),
+            (-1, [-1, 2, -2], [3, 4, 1]),
+            (F(-1, 2), [F(-6, 5), F(5, 2), F(-3, 10)], [4, 3, 1]),
+            (-2, [-1, 3, -3], [4, 3, 1]),
+            (F(-1, 2), [-2, F(5, 2), F(1, 2)], [4, 1, 3]),
+            (-2, [F(-5, 3), 3, F(-7, 3)], [4, 1, 3]),
+        ]}
         assert set(result.expansions) == expected
 
     def test_canonical_order(self):
@@ -234,7 +231,7 @@ class TestOrbit:
         assert all(c == 2 for c in counts.values())
 
     def test_pure_orbit(self):
-        e = make(1, [1, 1, 1], [0, 1, 2])
+        e = PURE_N3
         result = orbit(e, pure=True)
         assert result.complete
         assert len(result.expansions) == 2
@@ -251,12 +248,11 @@ class TestOrbit:
     @pytest.mark.parametrize("pure", ["no", None, [], 0, 1, 1.0])
     def test_pure_must_be_a_bool(self, pure):
         # Read as a truth value, a non-bool would pick the mode silently.
-        e = make(1, [1, 1, 1], [0, 1, 2])
         with pytest.raises(TypeError, match="^pure must be a bool"):
-            orbit(e, pure=pure)
+            orbit(PURE_N3, pure=pure)
 
     def test_zero_pivot_edges_reported(self):
-        e = make(1, [0, 1, 2], [1, 3, 4])
+        e = make_expansion(1, [0, 1, 2], [1, 3, 4])
         result = orbit(e)
         assert not result.complete
         assert result.skipped_edges
@@ -484,9 +480,10 @@ class TestGeneratorsAgainstReference:
         for _ in range(90):
             for n in (3, 5, 7):
                 alphas = rng.sample(grid, n)
-                e = make(random_rational(rng),
-                         [random_rational(rng, nonzero=True) for _ in range(n)],
-                         alphas)
+                e = make_expansion(
+                    random_rational(rng),
+                    [random_rational(rng, nonzero=True) for _ in range(n)],
+                    alphas)
                 dens.update(a.denominator for a in alphas)
                 for k in range(1, n):
                     assert apply_sigma(e, k) == reference_sigma(e, k)
