@@ -47,7 +47,10 @@ from .symmetry import apply_word, orbit
 def _cmd_expand(payload, args):
     triple = triple_from_json(payload)
     alpha = alpha_from_json(payload["alpha"])
-    return [expansion_to_json(e) for e in expand(triple, alpha)]
+    # A degenerate branch keeps its place in the list, as its error record.
+    return [{"error": type(e).__name__, "detail": str(e)}
+            if isinstance(e, AlphaFractionError) else expansion_to_json(e)
+            for e in expand(triple, alpha)]
 
 
 def _cmd_pure_expand(payload, args):

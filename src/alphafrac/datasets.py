@@ -2,7 +2,7 @@
 
 Each dataset bundles the inputs together with the expected outputs so it
 can serve directly as a test fixture.  Outputs are computed by the core
-operations here; the acceptance suite pins their values independently.
+operations here; the golden files under tests/golden/ pin their bytes.
 """
 
 from .errors import UnknownExample

@@ -313,10 +313,23 @@ def factorize_transfer_matrix(m, alpha: AlphaSequence) -> Expansion:
 
 
 def expand(t: AlphaTriple, alpha: AlphaSequence):
-    """Both N-periodic expansions of the triple, for T = +S then T = -S."""
+    """Both N-periodic expansions of the triple, for T = +S then T = -S.
+
+    Each branch is peeled on its own: a branch on the degenerate locus is
+    its FactorizationDegenerate, in place of its expansion, and the plus
+    branch's error is raised only when both branches are degenerate.
+    """
     s = admissible_decompose(t.discriminant, alpha)
-    return tuple(factorize_transfer_matrix(build_transfer_matrix(t, T), alpha)
-                 for T in (s, -s))
+    branches = []
+    for T in (s, -s):
+        try:
+            branches.append(
+                factorize_transfer_matrix(build_transfer_matrix(t, T), alpha))
+        except FactorizationDegenerate as exc:
+            branches.append(exc)
+    if all(isinstance(b, FactorizationDegenerate) for b in branches):
+        raise branches[0]
+    return tuple(branches)
 
 
 def pure_expand(t: AlphaTriple, alpha: AlphaSequence) -> Expansion:

@@ -1,5 +1,6 @@
 import io
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -64,6 +65,49 @@ PURE_N3_TRIPLE = AlphaTriple(*(Polynomial(PURE_N3_TRIPLE_JSON[k])
                                for k in "ABC"))
 PURE_N3 = make_expansion(**PURE_N3_EXPANSION_JSON)
 
+# The example's Z_2 x S_3 orbit: at each of the six orders of its shifts,
+# expand's plus branch, then its minus branch.  SECT4 is the first.
+SECT4_ORBIT = tuple(make_expansion(*row) for row in [
+    (1, [-3, 1, 3], [1, 3, 4]),
+    (F(-1, 5), [F(-5, 2), F(6, 5), F(3, 10)], [1, 3, 4]),
+    (1, [-2, 1, 2], [1, 4, 3]),
+    (F(-1, 5), [F(-5, 3), F(6, 5), F(-8, 15)], [1, 4, 3]),
+    (F(1, 3), [-3, F(5, 3), F(7, 3)], [3, 1, 4]),
+    (-1, [F(-5, 2), 2, F(-1, 2)], [3, 1, 4]),
+    (F(1, 3), [F(-6, 5), F(5, 3), F(8, 15)], [3, 4, 1]),
+    (-1, [-1, 2, -2], [3, 4, 1]),
+    (F(-1, 2), [F(-6, 5), F(5, 2), F(-3, 10)], [4, 3, 1]),
+    (-2, [-1, 3, -3], [4, 3, 1]),
+    (F(-1, 2), [-2, F(5, 2), F(1, 2)], [4, 1, 3]),
+    (-2, [F(-5, 3), 3, F(-7, 3)], [4, 1, 3]),
+])
+
+
+def null_vector(step, lam):
+    """The CLI's record of a peel that meets a null vector at step, lam."""
+    return {"error": "FactorizationDegenerate",
+            "detail": "null vector has vanishing first component at step %d "
+                      "(lambda = %d)" % (step, lam)}
+
+
+# Three expand requests whose peel meets a null vector on one branch or on
+# both, each with the CLI's exit code and output: the two branches in
+# order, a degenerate one as its error record, or, when both are, the plus
+# branch's error record alone, which the library raises.
+DEGENERATE_EXPAND = {
+    "minus": ({"A": ["-3", "1"], "B": ["-3", "-1"], "C": ["3", "-2", "-1"],
+               "alpha": ["-3", "1", "3"]}, 0,
+              [{"b0": "0", "block": ["-1", "2", "1"],
+                "alpha": ["-3", "1", "3"]}, null_vector(1, 1)]),
+    "plus": ({"A": ["5", "1"], "B": ["1/2", "-1"], "C": ["30", "1", "-1"],
+              "alpha": ["6", "-6", "-5"]}, 0,
+             [null_vector(1, -6), {"b0": "0", "block": ["-1", "1", "0"],
+                                   "alpha": ["6", "-6", "-5"]}]),
+    # S = x
+    "both": ({"A": ["0", "1"], "B": [], "C": ["-2", "2", "-1"],
+              "alpha": ["0", "1", "2"]}, 1, null_vector(0, 0)),
+}
+
 
 def sect4_jacobi():
     """The example's Jacobi triple.  Built on call: its constructor checks
@@ -119,6 +163,14 @@ def random_expansion(rng, n):
     b0 = random_rational(rng)
     block = [random_rational(rng, nonzero=True) for _ in range(n)]
     return Expansion(b0, block, AlphaSequence(alphas))
+
+
+@pytest.fixture(scope="session")
+def random_corpus():
+    """200 random expansions at each N in (1, 3, 5, 7), seed 2024: the
+    round trips' and the group action's corpus."""
+    rng = random.Random(2024)
+    return [random_expansion(rng, n) for n in (1, 3, 5, 7) for _ in range(200)]
 
 
 def random_polynomial(rng, degree, monic=False):

@@ -191,7 +191,7 @@ MUTANTS = [
      "    if x == 0:\n        y, x = _ratio(W, Z, al)\n",
      "",
      ["tests/test_expansion.py::TestRoundTrip::test_random_round_trip",
-      "tests/test_acceptance.py::test_n1_formulas"]),
+      "tests/test_expansion.py::TestExpand::test_n1_closed_forms"]),
     ("apply_sigma leaves b_N unmoved at k = N - 1", SYMMETRY,
      "    else:\n        block[-1] -= delta\n",
      "",
@@ -256,17 +256,25 @@ MUTANTS = [
      "    den *= sk // s\n",
      "",
      ["tests/test_expansion.py::TestRoundTrip::test_random_round_trip"]),
+    ("expand raises a degenerate branch's error", EXPANSION,
+     "        except FactorizationDegenerate as exc:\n"
+     "            branches.append(exc)\n",
+     "        except FactorizationDegenerate:\n            raise\n",
+     ["tests/test_expansion.py::TestExpand::test_degenerate_branch",
+      "tests/test_cli.py::TestExpandCommand::test_degenerate_branch"]),
 ]
 
 
 def copy_tree(dest):
-    """src/, tests/ and pyproject.toml, which holds tier-1's pytest
-    configuration, of the repository under dest, without caches."""
+    """src/, tests/, pyproject.toml, which holds tier-1's pytest
+    configuration, and README.md, whose examples tests/test_readme.py
+    runs, of the repository under dest, without caches."""
     skip = shutil.ignore_patterns("__pycache__", ".hypothesis")
     for part in ("src", "tests"):
         shutil.copytree(os.path.join(ROOT, part), os.path.join(dest, part),
                         ignore=skip)
-    shutil.copy(os.path.join(ROOT, "pyproject.toml"), dest)
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy(os.path.join(ROOT, name), dest)
 
 
 def run_tests(root, node_ids):

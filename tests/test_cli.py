@@ -8,8 +8,10 @@ import pytest
 import alphafrac
 from alphafrac.cli import main
 from alphafrac.datasets import EXAMPLE_NAMES, example
+from alphafrac.serialize import canonical_dumps
 
 from conftest import (
+    DEGENERATE_EXPAND,
     PURE_N3_EXPANSION_JSON,
     PURE_N3_TRIPLE_JSON,
     SECT4_ALPHA_JSON,
@@ -87,6 +89,15 @@ class TestExpandCommand:
             {"b0": "-1/5", "block": ["-5/2", "6/5", "3/10"],
              "alpha": SECT4_ALPHA_JSON},
         ]
+
+    @pytest.mark.parametrize("name", DEGENERATE_EXPAND)
+    def test_degenerate_branch(self, name):
+        # The branch that exists is printed next to the other's error
+        # record, exit 0; with neither, the plus branch's record, exit 1.
+        payload, code, want = DEGENERATE_EXPAND[name]
+        got = run(["expand"], payload)
+        assert got == ((1, None, canonical_dumps(want)) if code
+                       else (0, want, ""))
 
     def test_file_io(self, tmp_path):
         inp = tmp_path / "in.json"

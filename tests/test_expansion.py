@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,14 +26,17 @@ from alphafrac import (
     pure_expand,
     verify_expansion,
 )
-from alphafrac.polyring import Polynomial
+from alphafrac.polyring import Polynomial, rational_sqrt
+from alphafrac.serialize import expansion_to_json
 
 from conftest import (
+    DEGENERATE_EXPAND,
     F,
     P,
     PURE_N3,
     PURE_N3_TRIPLE,
     SECT4,
+    SECT4_ORBIT,
     SECT4_R,
     SECT4_TRIPLE,
     linear_factor,
@@ -93,12 +97,18 @@ class TestRepr:
             "AlphaTriple(A=x - 6, B=-3/2*x + 7/2, C=-x^2 + 4*x - 2)"
 
 
-def twins():
-    """One pair of equal values, built apart, of each value type."""
+VALUE_TYPES = ["AlphaSequence", "Expansion", "AlphaTriple", "JacobiTriple",
+               "Polynomial"]
+
+
+def twins(name):
+    """One pair of equal values, built apart, of the named value type.
+    Built on call: the JacobiTriple's check runs polyring's arithmetic, so
+    a fault there fails these tests, not their collection."""
     rng = random.Random(20)
     j = random_jacobi(rng, 2)
     t = SECT4_TRIPLE
-    return [
+    pairs = [
         (AlphaSequence([1, 3, 4]), AlphaSequence(["1", F(3), 4])),
         (SECT4, make_expansion("1", [-3, 1, 3], [1, 3, 4])),
         (t, AlphaTriple(*[Polynomial(p.coeffs) for p in (t.A, t.B, t.C)])),
@@ -106,19 +116,20 @@ def twins():
                            for p in (j.U, j.V, j.W, j.R)])),
         (P("1/2", 3), P(F(1, 2), "3")),
     ]
+    return {type(a).__name__: (a, b) for a, b in pairs}[name]
 
 
 class TestValueSemantics:
-    @pytest.mark.parametrize("a, b", twins(),
-                             ids=lambda x: type(x).__name__)
-    def test_equal_values_hash_equal(self, a, b):
+    @pytest.mark.parametrize("name", VALUE_TYPES, ids="{0}-{0}".format)
+    def test_equal_values_hash_equal(self, name):
+        a, b = twins(name)
         assert a is not b and a == b
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
 
-    @pytest.mark.parametrize("a", [a for a, _ in twins()],
-                             ids=lambda x: type(x).__name__)
-    def test_foreign_operand_is_unequal(self, a):
+    @pytest.mark.parametrize("name", VALUE_TYPES)
+    def test_foreign_operand_is_unequal(self, name):
+        a, _ = twins(name)
         other = object()
         assert a.__eq__(other) is NotImplemented
         assert (a == other) is False and (a != other) is True
@@ -222,13 +233,17 @@ class TestExpansionToTriple:
 
 
 class TestAdmissibleDecompose:
-    def test_sect4(self, sect4_alpha):
+    @pytest.mark.acceptance
+    def test_sect4(self, sect4_triple, sect4_alpha):
+        # R = S^2 + prod(x - alpha_i) with S = (x - 7)/2
+        assert sect4_triple.discriminant == SECT4_R
         assert admissible_decompose(SECT4_R, sect4_alpha) == P("-7/2", "1/2")
 
     def test_r_equals_vanishing(self, sect4_alpha):
         s = admissible_decompose(sect4_alpha.vanishing_poly(), sect4_alpha)
         assert s == Polynomial()
 
+    @pytest.mark.acceptance
     def test_odd_difference(self, sect4_alpha):
         r = sect4_alpha.vanishing_poly() + P("0", "1")
         with pytest.raises(NotAdmissible):
@@ -401,18 +416,13 @@ class TestPeelZeroPivot:
 
 
 class TestExpand:
-    def test_sect4_both(self, sect4_triple, sect4_alpha):
-        plus, minus = expand(sect4_triple, sect4_alpha)
-        assert plus == SECT4
-        assert minus == make_expansion(
-            F(-1, 5), [F(-5, 2), F(6, 5), F(3, 10)], [1, 3, 4])
-
-    def test_sect4_reordered(self, sect4_triple):
-        plus, minus = expand(sect4_triple, AlphaSequence([4, 1, 3]))
-        assert plus == make_expansion(
-            F(-1, 2), [-2, F(5, 2), F(1, 2)], [4, 1, 3])
-        assert minus == make_expansion(
-            -2, [F(-5, 3), 3, F(-7, 3)], [4, 1, 3])
+    @pytest.mark.acceptance
+    def test_sect4_both(self, sect4_triple):
+        # Both expansions at each of the six orders of the shifts.
+        start = time.perf_counter()
+        for plus, minus in zip(SECT4_ORBIT[::2], SECT4_ORBIT[1::2]):
+            assert expand(sect4_triple, plus.alpha) == (plus, minus)
+        assert time.perf_counter() - start < 1.0
 
     def test_n1(self):
         # A = 1, B = 0, C = -(x + 3), alpha_1 = 1: heads -beta +- 2
@@ -420,6 +430,46 @@ class TestExpand:
         plus, minus = expand(triple, AlphaSequence([1]))
         assert (plus.b0, plus.block) == (F(2), (F(4),))
         assert (minus.b0, minus.block) == (F(-2), (F(-4),))
+
+    @pytest.mark.acceptance
+    def test_n1_closed_forms(self):
+        # A = 1, B = beta, C = -(x + gamma): b_0 = -beta +- s and
+        # b_1 = beta +- s with s^2 = beta^2 + alpha_1 + gamma; then the
+        # pure case C = -(x - alpha_1), where b_0 = b_1 = -2 beta.
+        rng = random.Random(101)
+        for _ in range(20):
+            beta = random_rational(rng, -6, 6, 3)
+            alpha1 = random_rational(rng, -6, 6, 3)
+            s = random_rational(rng, 0, 6, 3, nonzero=True)
+            gamma = s * s - beta * beta - alpha1  # makes the root rational
+            triple = AlphaTriple(P("1"), P(beta), P(-gamma, "-1"))
+            plus, minus = expand(triple, AlphaSequence([alpha1]))
+            assert rational_sqrt(beta * beta + alpha1 + gamma) == s
+            assert (plus.b0, plus.bn_star) == (-beta + s, beta + s)
+            assert (minus.b0, minus.bn_star) == (-beta - s, beta - s)
+        for _ in range(20):
+            beta = random_rational(rng, -6, 6, 3, nonzero=True)
+            alpha1 = random_rational(rng, -6, 6, 3)
+            triple = AlphaTriple(P("1"), P(beta), P(alpha1, "-1"))
+            e = pure_expand(triple, AlphaSequence([alpha1]))
+            assert (e.b0, e.block) == (-2 * beta, (-2 * beta,))
+
+    @pytest.mark.parametrize("name", DEGENERATE_EXPAND)
+    def test_degenerate_branch(self, name):
+        # A degenerate branch is its error, in place; when both are, the
+        # plus branch's error is raised.
+        payload, code, want = DEGENERATE_EXPAND[name]
+        triple = AlphaTriple(*(Polynomial(payload[k]) for k in "ABC"))
+        alpha = AlphaSequence(payload["alpha"])
+        if code:
+            with pytest.raises(FactorizationDegenerate) as info:
+                expand(triple, alpha)
+            assert str(info.value) == want["detail"]
+            return
+        got = [{"error": type(b).__name__, "detail": str(b)}
+               if isinstance(b, FactorizationDegenerate)
+               else expansion_to_json(b) for b in expand(triple, alpha)]
+        assert got == want
 
     def test_trace_signs(self, sect4_triple, sect4_alpha):
         plus, minus = expand(sect4_triple, sect4_alpha)
@@ -572,9 +622,10 @@ class TestIntStrLimit:
 
 
 class TestNumericResidual:
+    @pytest.mark.acceptance
     def test_sect4_points(self, sect4_triple):
-        assert numeric_residual(sect4_triple, 0) <= 1e-9
-        assert numeric_residual(sect4_triple, 10) <= 1e-9
+        for lam in (0, 2, 10):
+            assert numeric_residual(sect4_triple, lam) <= 1e-9
 
     def test_negative_discriminant(self):
         # forces complex arithmetic: R(0) = -AC < 0 for B = 0
@@ -595,7 +646,9 @@ class TestNumericResidual:
 
 
 class TestRoundTrip:
-    def test_random_round_trip(self):
+    @pytest.mark.acceptance
+    def test_random_round_trip(self, random_corpus):
+        start = time.perf_counter()
         rng = random.Random(17)
         cases = [random_expansion(rng, n)
                  for n in (1, 3, 5, 7) for _ in range(25)]
@@ -610,11 +663,15 @@ class TestRoundTrip:
                 alpha = AlphaSequence(rng.sample(shifts, n))
                 block = [random_rational(rng, nonzero=True) for _ in range(n)]
                 cases.append(Expansion(random_rational(rng), block, alpha))
-        for e in cases:
+        for e in cases + random_corpus:
             triple, half_trace = expansion_to_triple(e)
             m = build_transfer_matrix(triple, half_trace)
             assert det(m) == -e.alpha.vanishing_poly()
             assert factorize_transfer_matrix(m, e.alpha) == e
+            # P_N Q_(N-1) - P_(N-1) Q_N = prod(x - alpha_i)
+            (p0, q0), (p1, q1) = convergents(e)[-2:]
+            assert p1 * q0 - p0 * q1 == e.alpha.vanishing_poly()
+        assert time.perf_counter() - start < 30.0
 
     def test_pure_preservation(self):
         rng = random.Random(19)

@@ -399,8 +399,33 @@ class TestAlphaCorrespondence:
             j2, beta2 = jacobi_from_alpha_triple(t)
             assert (j2, beta2) == (j, beta)
 
+    @pytest.mark.acceptance
+    def test_maps_and_divisors_round_trip(self):
+        # (J, beta) -> alpha-triple -> (J, beta), keeping R; then divisors
+        # through Lagrange-built V -> J -> divisor -> J.
+        rng = random.Random(404)
+        for _ in range(200):
+            j = random_jacobi(rng, rng.randint(0, 3))
+            beta = random_rational(rng)
+            t = alpha_triple_from_jacobi(j, beta)
+            assert t.discriminant == j.R
+            assert jacobi_from_alpha_triple(t) == (j, beta)
+        for _ in range(40):
+            g = rng.randint(1, 3)
+            lams = rng.sample(range(-6, 7), g)
+            mus = [random_rational(rng, -6, 6, 3) for _ in range(g)]
+            points = tuple(zip(map(F, lams), mus))
+            v = lagrange(points)
+            w = Polynomial.from_roots(rng.sample(range(-9, 10), g + 1))
+            r = v * v + Polynomial.from_roots(lams) * w
+            j = jacobi_from_divisor(points, r)
+            back = divisor_from_jacobi(j)
+            assert jacobi_from_divisor(back, r) == j
+            assert {(p.lam, p.mu) for p in back} == set(points)
+
 
 class TestPureBeta:
+    @pytest.mark.acceptance
     def test_sect4_example(self):
         j = sect4_jacobi()
         betas = pure_beta_candidates(j, 4)

@@ -31,11 +31,18 @@ from alphafrac import (  # noqa: E402
 )
 from alphafrac.polyring import Polynomial, as_fraction  # noqa: E402
 
-from conftest import SECT4, SECT4_TRIPLE, sect4_jacobi  # noqa: E402
+from conftest import (  # noqa: E402
+    SECT4,
+    SECT4_JACOBI_JSON,
+    SECT4_TRIPLE,
+    sect4_jacobi,
+)
 
+# The section-4 example's fields.  The Jacobi triple itself is built on
+# call, by sect4_jacobi: its check runs polyring's arithmetic, which must
+# fail a test, not the loading of this module.
 A, B, C = SECT4_TRIPLE.A, SECT4_TRIPLE.B, SECT4_TRIPLE.C
-J = sect4_jacobi()
-U, V, W, R = J.U, J.V, J.W, J.R
+U, V, W, R = (Polynomial(SECT4_JACOBI_JSON[k]) for k in "UVWR")
 
 # Each entry puts the junk x in one argument.
 CALLS = {
@@ -64,8 +71,9 @@ CALLS = {
     "apply_word.letter": lambda x: apply_word(SECT4, ["sigma:1", x]),
     "apply_sigma": lambda x: apply_sigma(SECT4, x),
     "numeric_residual.lambda": lambda x: numeric_residual(SECT4_TRIPLE, x),
-    "pure_beta_candidates": lambda x: pure_beta_candidates(J, x),
-    "alpha_triple_from_jacobi": lambda x: alpha_triple_from_jacobi(J, x),
+    "pure_beta_candidates": lambda x: pure_beta_candidates(sect4_jacobi(), x),
+    "alpha_triple_from_jacobi": lambda x: alpha_triple_from_jacobi(
+        sect4_jacobi(), x),
     "orbit.pure": lambda x: orbit(SECT4, pure=x),
 }
 

@@ -7,6 +7,8 @@ import pathlib
 import sys
 import warnings
 
+import pytest
+
 TESTS = pathlib.Path(__file__).resolve().parent
 ROOT = TESTS.parent
 SRC = ROOT / "src" / "alphafrac"
@@ -188,7 +190,7 @@ def test_mutant_table_matches_the_code():
     # in its file, or a node id that names no test.
     mutants = _load("mutants", TESTS / "mutants.py")
     table = mutants.MUTANTS
-    assert len(table) >= 44
+    assert len(table) >= 45
     assert len({name for name, *_ in table}) == len(table)
     counts = [(name, (ROOT / path).read_text(encoding="utf-8").count(snippet))
               for name, path, snippet, _, _ in table]
@@ -197,3 +199,12 @@ def test_mutant_table_matches_the_code():
     missing = [n for *_, node_ids in table for n in node_ids
                if not _names_a_test(n)]
     assert missing == []
+
+
+def test_misspelt_marker_fails():
+    # pyproject.toml registers the acceptance marker and makes markers
+    # strict, so a misspelt marker fails the collection of its module
+    # instead of leaving its test out of `pytest -m acceptance`.
+    with pytest.raises(pytest.fail.Exception, match="not found in `markers`"):
+        pytest.mark.acceptence
+    assert pytest.mark.acceptance.name == "acceptance"
