@@ -1,6 +1,5 @@
 import io
 import math
-import random
 import sys
 from fractions import Fraction
 
@@ -16,6 +15,8 @@ from alphafrac import (
     PointOffCurve,
     RepeatedAbscissa,
     SpecialDivisor,
+    ZeroPivot,
+    apply_word,
     expansion_to_triple,
 )
 from alphafrac.cli import main
@@ -165,12 +166,32 @@ def random_expansion(rng, n):
     return Expansion(b0, block, AlphaSequence(alphas))
 
 
-@pytest.fixture(scope="session")
-def random_corpus():
-    """200 random expansions at each N in (1, 3, 5, 7), seed 2024: the
-    round trips' and the group action's corpus."""
-    rng = random.Random(2024)
-    return [random_expansion(rng, n) for n in (1, 3, 5, 7) for _ in range(200)]
+def coxeter_relations(e):
+    """Check at e the commutations sigma_k sigma_j = sigma_j sigma_k,
+    k + 2 <= j, and the braids sigma_k sigma_(k+1) sigma_k =
+    sigma_(k+1) sigma_k sigma_(k+1) whose pivots are all nonzero;
+    returns how many of each were checked."""
+    comm = braid = 0
+    for k in range(1, e.n):
+        for j in range(k + 2, e.n):
+            try:
+                lhs = apply_word(e, ["sigma:%d" % k, "sigma:%d" % j])
+                rhs = apply_word(e, ["sigma:%d" % j, "sigma:%d" % k])
+            except ZeroPivot:
+                continue
+            assert lhs == rhs
+            comm += 1
+    for k in range(1, e.n - 1):
+        w1 = ["sigma:%d" % k, "sigma:%d" % (k + 1), "sigma:%d" % k]
+        w2 = ["sigma:%d" % (k + 1), "sigma:%d" % k, "sigma:%d" % (k + 1)]
+        try:
+            lhs = apply_word(e, w1)
+            rhs = apply_word(e, w2)
+        except ZeroPivot:
+            continue
+        assert lhs == rhs
+        braid += 1
+    return comm, braid
 
 
 def random_polynomial(rng, degree, monic=False):
