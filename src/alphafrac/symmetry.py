@@ -6,21 +6,26 @@ coefficients; epspi reverses the shift order and flips to the conjugate
 expansion.  Both are involutions.  The generic orbit has 2 * N! elements;
 in the pure case the group breaks down to S_{N-1} (sigma_1 .. sigma_{N-2}).
 
-Group images skip re-validation: apply_sigma and apply_eps_pi build them
-through the unchecked AlphaSequence._from_checked and
-Expansion._from_checked.  That is sound because an image comes from an
-expansion the public constructors already checked: its shifts are a
-permutation of pairwise distinct Fractions, so their count stays odd and
-they stay distinct, and each new b_i is a sum, difference, quotient or
-negation of Fractions, so nothing needs coercing.  Outside input (the CLI,
-serialize, datasets and library callers) takes the validating
-constructors, and tests/test_source.py keeps every other module of the
-package off the unchecked ones.
+Each generator's formula is written once, as a step on the reduced integer
+pairs (numerator, denominator > 0) of b_0, ..., b_N: _sigma_pairs and
+_eps_pi_pairs.  apply_sigma and apply_eps_pi validate their arguments and
+run these steps; orbit runs them on the pairs of its whole walk.  Group
+images skip re-validation: they are built through the unchecked
+AlphaSequence._from_checked and Expansion._from_checked.  That is sound
+because an image comes from an expansion the public constructors already
+checked: its shifts are a permutation of pairwise distinct Fractions, so
+their count stays odd and they stay distinct, and each new b_i is a sum,
+difference, quotient or negation of rationals, reduced after every step
+and made a Fraction by the public Fraction(num, den), so nothing needs
+coercing.  Outside input (the CLI, serialize, datasets and library
+callers) takes the validating constructors, and tests/test_source.py keeps
+every other module of the package off the unchecked ones.
 """
 
 import re
 from collections import namedtuple
 from fractions import Fraction
+from math import gcd
 from operator import itemgetter
 
 from .errors import NotPure, ZeroPivot
@@ -33,43 +38,80 @@ def _zero_pivot(k: int) -> ZeroPivot:
     return ZeroPivot("sigma_%d undefined: b_%d = 0" % (k, k))
 
 
+def _pair(x: Fraction) -> tuple:
+    return x.numerator, x.denominator
+
+
+def _pairs(e: Expansion, pool: dict) -> tuple:
+    """b_0, ..., b_N of e as reduced pairs, each taken from pool."""
+    return tuple([pool.setdefault(p, p)
+                  for p in [_pair(x) for x in (e.b0, *e.block)]])
+
+
+def _plus(p: tuple, n: int, d: int, pool: dict) -> tuple:
+    """p + n/d as a reduced pair from pool, for a reduced pair p and d > 0."""
+    pn, pd = p
+    n, d = pn * d + n * pd, pd * d
+    g = gcd(n, d)
+    q = n // g, d // g
+    return pool.setdefault(q, q)
+
+
+def _sigma_pairs(b: tuple, k: int, diff: tuple, pool: dict) -> tuple:
+    """sigma_k on the pairs b of b_0, ..., b_N, for b_k != 0.
+
+    diff is the pair of alpha_{k+1} - alpha_k, and delta = diff / b_k.  In
+    the coordinates (b_0, ..., b_{N-1}, u = b_N - b_0), sigma_k adds delta
+    to b_{k-1} and takes it from b_{k+1}, or from u when k = N - 1.  So
+    b_{k+1} loses delta for every k, and b_N = u + b_0 gains it when k = 1.
+    delta is left unreduced; each sum is reduced.
+    """
+    pn, pd = b[k]
+    n, d = diff[0] * pd, diff[1] * pn
+    if d < 0:
+        n, d = -n, -d
+    b = list(b)
+    b[k - 1] = _plus(b[k - 1], n, d, pool)
+    b[k + 1] = _plus(b[k + 1], -n, d, pool)
+    if k == 1:
+        b[-1] = _plus(b[-1], n, d, pool)
+    return tuple(b)
+
+
+def _eps_pi_pairs(b: tuple, pool: dict) -> tuple:
+    """epspi on the pairs b of b_0, ..., b_N.
+
+    b~_0 = b_0 - b_N, b~_j = -b_{N-j} for 1 <= j <= N-1, b~_N = -b_N.
+    """
+    neg = [pool.setdefault(p, p) for p in [(-n, d) for n, d in b[:0:-1]]]
+    return (_plus(b[0], *neg[0], pool), *neg[1:], neg[0])
+
+
+def _from_pairs(b: tuple, alpha: AlphaSequence) -> Expansion:
+    return Expansion._from_checked(
+        Fraction(*b[0]), tuple([Fraction(*p) for p in b[1:]]), alpha)
+
+
 def apply_sigma(e: Expansion, k: int) -> Expansion:
     """Apply sigma_k (1-based, 1 <= k <= N-1); requires b_k != 0.
 
-    The update lives in the coordinates (b_0, ..., b_{N-1}, u = b_N - b_0):
-    for k <= N-2 it touches b_{k-1} and b_{k+1}, for k = N-1 it touches
-    b_{N-2} and u.  The displayed b_N is u + b_0 afterwards, so it moves
-    by +delta when k = 1 (as b_0 does) and by -delta when k = N-1.
+    It moves delta = (alpha_{k+1} - alpha_k)/b_k: b_{k-1} gains delta and
+    b_{k+1} loses it, and b_N also gains it when k = 1.
     """
     if not isinstance(k, int) or isinstance(k, bool):
         raise TypeError("sigma index must be an int, not %s"
                         % type(k).__name__)
-    b0, block = e.b0, list(e.block)
-    n = len(block)
-    if not 1 <= k <= n - 1:
+    if not 1 <= k <= e.n - 1:
         raise ValueError("sigma index must satisfy 1 <= k <= N-1")
-    pivot = block[k - 1]
-    if not pivot:
+    pool = {}
+    b = _pairs(e, pool)
+    if not b[k][0]:
         raise _zero_pivot(k)
     alphas = e.alpha.alphas
     a, c = alphas[k - 1], alphas[k]
-    # delta = (c - a) / pivot from the integer parts, normalized once.
-    delta = Fraction(
-        (c.numerator * a.denominator - a.numerator * c.denominator)
-        * pivot.denominator,
-        c.denominator * a.denominator * pivot.numerator)
-    if k == 1:
-        b0 += delta
-        block[-1] += delta
-    else:
-        block[k - 2] += delta
-    if k <= n - 2:
-        block[k] -= delta
-    else:
-        block[-1] -= delta
-    return Expansion._from_checked(
-        b0, tuple(block), AlphaSequence._from_checked(
-            alphas[:k - 1] + (c, a) + alphas[k + 1:]))
+    return _from_pairs(
+        _sigma_pairs(b, k, _pair(c - a), pool),
+        AlphaSequence._from_checked(alphas[:k - 1] + (c, a) + alphas[k + 1:]))
 
 
 def apply_eps_pi(e: Expansion) -> Expansion:
@@ -77,11 +119,9 @@ def apply_eps_pi(e: Expansion) -> Expansion:
 
     b~_j = -b_{N-j} for 1 <= j <= N-1, b~_0 = b_0 - b_N, b~_N = -b_N.
     """
-    b_last = e.block[-1]
-    block = tuple(-b for b in e.block[-2::-1]) + (-b_last,)
-    return Expansion._from_checked(
-        e.b0 - b_last, block,
-        AlphaSequence._from_checked(e.alpha.alphas[::-1]))
+    pool = {}
+    return _from_pairs(_eps_pi_pairs(_pairs(e, pool), pool),
+                       AlphaSequence._from_checked(e.alpha.alphas[::-1]))
 
 
 _SIGMA = re.compile(r"sigma:([1-9][0-9]*)")
@@ -139,10 +179,17 @@ def orbit(e: Expansion, pure: bool = False) -> OrbitResult:
     alpha-fraction of a fixed phi over a fixed shift order is unique.  Each
     generator moves keys by one operator.itemgetter, built once per call:
     sigma_k swaps ranks k and k + 1, and epspi reverses the ranks and swaps
-    the branch pair.  Every image is built by apply_sigma or apply_eps_pi,
-    once per new key, so an orbit of m elements makes m - 1 generator
-    calls.  Ranks order like the shifts, so canonical order is the sorted
-    keys, with the two branches of one shift order then put in
+    the branch pair.
+
+    The walk holds each element as the reduced integer pairs of its
+    b_0, ..., b_N, made by _sigma_pairs or _eps_pi_pairs once per new key,
+    so an orbit of m elements takes m - 1 steps.  The generic orbit's
+    2 * N! elements hold few distinct values, so the pairs are interned in
+    one pool per call and equal values share one pair.  After the walk
+    each pooled pair becomes one Fraction, and each element is built once,
+    in canonical order, over one AlphaSequence per shift order, shared by
+    its two branches.  Ranks order like the shifts, so canonical order is
+    the sorted keys, with the two branches of one shift order then put in
     (b_0, block) order.
     """
     if not isinstance(pure, bool):
@@ -161,37 +208,54 @@ def orbit(e: Expansion, pure: bool = False) -> OrbitResult:
         sigmas.append((k, itemgetter(*swap)))
     eps_pi = None if pure else itemgetter(
         *places[n - 1::-1], *((n + 1, n) if flip else (n, n + 1)))
-    rank = {a: i for i, a in enumerate(sorted(e.alpha.alphas))}
+    shifts = sorted(e.alpha.alphas)
+    rank = {a: i for i, a in enumerate(shifts)}
+    # alpha_j - alpha_i by the ranks i and j, as pairs.
+    diffs = [[_pair(c - a) for c in shifts] for a in shifts]
     start = tuple(rank[a] for a in e.alpha.alphas) + (0, 1)
-    seen = {start: e}
+    pool = {}
+    seen = {start: _pairs(e, pool)}
     frontier = [start]
     skipped = []
     while frontier:
         nxt = []
         for key in frontier:
-            cur = seen[key]
-            block = cur.block
+            b = seen[key]
             for k, move in sigmas:
-                if not block[k - 1]:  # only a sigma divides
-                    skipped.append(
-                        SkippedEdge(cur, "sigma:%d" % k, str(_zero_pivot(k))))
+                if not b[k][0]:  # only a sigma divides
+                    skipped.append((key, k))
                     continue
                 img = move(key)
                 if img not in seen:
-                    seen[img] = apply_sigma(cur, k)
+                    seen[img] = _sigma_pairs(b, k, diffs[key[k - 1]][key[k]],
+                                             pool)
                     nxt.append(img)
             if eps_pi is not None:
                 img = eps_pi(key)
                 if img not in seen:
-                    seen[img] = apply_eps_pi(cur)
+                    seen[img] = _eps_pi_pairs(b, pool)
                     nxt.append(img)
         frontier = nxt
-    # The two branches of one shift order sort side by side, branch 0 first.
-    keys = sorted(seen)
-    ordered = [seen[key] for key in keys]
-    for i in range(1, len(keys)):
-        if keys[i][n] and keys[i - 1][:n] == keys[i][:n]:
-            a, b = ordered[i - 1], ordered[i]
-            if (b.b0, b.block) < (a.b0, a.block):
-                ordered[i - 1:i + 1] = b, a
-    return OrbitResult(tuple(ordered), not skipped, tuple(skipped))
+    for p in pool:
+        pool[p] = Fraction(*p)
+    value = pool.__getitem__
+    ordered, last = [], None
+    for key in sorted(seen):
+        order, b = key[:n], seen[key]
+        at = len(ordered)
+        if order != last:
+            alpha = AlphaSequence._from_checked(
+                tuple([shifts[i] for i in order]))
+        else:
+            # Branch 1 follows branch 0 of its shift order, and goes first
+            # if its (b_0, block) is smaller: compare the first b_i at
+            # which the two differ, as n/d < n'/d' with d, d' > 0.
+            p, q = next(pq for pq in zip(b, last_b) if pq[0] != pq[1])
+            at -= p[0] * q[1] < q[0] * p[1]
+        v = tuple(map(value, b))
+        seen[key] = x = Expansion._from_checked(v[0], v[1:], alpha)
+        ordered.insert(at, x)
+        last, last_b = order, b
+    return OrbitResult(tuple(ordered), not skipped, tuple(
+        SkippedEdge(seen[key], "sigma:%d" % k, str(_zero_pivot(k)))
+        for key, k in skipped))

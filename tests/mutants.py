@@ -98,9 +98,9 @@ MUTANTS = [
      "        return [w / (2 * v)]\n",
      "",
      ["tests/test_jacobi.py::TestPureBeta::test_degenerate_linear_case"]),
-    ("apply_sigma moves b_N by -delta at k = 1", SYMMETRY,
-     "        b0 += delta\n        block[-1] += delta\n",
-     "        b0 += delta\n        block[-1] -= delta\n",
+    ("the sigma step moves b_N by -delta at k = 1", SYMMETRY,
+     "    if k == 1:\n        b[-1] = _plus(b[-1], n, d, pool)\n",
+     "    if k == 1:\n        b[-1] = _plus(b[-1], -n, d, pool)\n",
      ["tests/test_symmetry.py::TestSigma::test_sigma1"]),
     ("__add__ leaves its sum unreduced", POLYRING,
      "        return _reduced(*_combine(1, self._num, self._den,\n"
@@ -192,26 +192,44 @@ MUTANTS = [
      "",
      ["tests/test_expansion.py::TestRoundTrip::test_random_round_trip",
       "tests/test_expansion.py::TestExpand::test_n1_closed_forms"]),
-    ("apply_sigma leaves b_N unmoved at k = N - 1", SYMMETRY,
-     "    else:\n        block[-1] -= delta\n",
-     "",
+    ("the sigma step leaves b_N unmoved at k = N - 1", SYMMETRY,
+     "    b[k + 1] = _plus(b[k + 1], -n, d, pool)\n",
+     "    if k + 1 < len(b) - 1:\n"
+     "        b[k + 1] = _plus(b[k + 1], -n, d, pool)\n",
      ["tests/test_symmetry.py::TestSigma::test_sigma2"]),
-    ("apply_sigma skips b_{k+1} at k = N - 2", SYMMETRY,
-     "    if k <= n - 2:\n",
-     "    if k < n - 2:\n",
+    ("the sigma step skips b_{k+1} at k = N - 2", SYMMETRY,
+     "    b[k + 1] = _plus(b[k + 1], -n, d, pool)\n",
+     "    if k != len(b) - 3:\n"
+     "        b[k + 1] = _plus(b[k + 1], -n, d, pool)\n",
      ["tests/test_symmetry.py::TestSigma::test_sigma1"]),
-    ("apply_eps_pi with b~_0 = b_0 + b_N", SYMMETRY,
-     "e.b0 - b_last, block,",
-     "e.b0 + b_last, block,",
+    ("the epspi step with b~_0 = b_0 + b_N", SYMMETRY,
+     "_plus(b[0], *neg[0], pool)",
+     "_plus(b[0], *b[-1], pool)",
      ["tests/test_symmetry.py::TestEpsPi::test_sect4"]),
+    ("the epspi step keeps the sign of the block", SYMMETRY,
+     "[(-n, d) for n, d in b[:0:-1]]",
+     "[(n, d) for n, d in b[:0:-1]]",
+     ["tests/test_symmetry.py::TestEpsPi::test_sect4"]),
+    # Each value is still right, as Fraction(n, d) reduces it, but equal
+    # values no longer share one pair, so orbit makes a Fraction for each.
+    ("the pair step leaves its sum unreduced", SYMMETRY,
+     "    g = gcd(n, d)\n    q = n // g, d // g\n",
+     "    q = n, d\n",
+     ["tests/test_symmetry.py::TestOrbitPool"
+      "::test_each_value_is_one_fraction"]),
+    ("orbit skips the pool", SYMMETRY,
+     "v = tuple(map(value, b))",
+     "v = tuple([Fraction(*p) for p in b])",
+     ["tests/test_symmetry.py::TestOrbitPool"
+      "::test_each_value_is_one_fraction"]),
     ("orbit never flips the branch", SYMMETRY,
      "flip = not pure and bool(expansion_to_triple(e)[1])",
      "flip = False",
      ["tests/test_symmetry.py::TestOrbit"
       "::test_sect4_orbit_is_golden_table"]),
     ("orbit's pair swap with >", SYMMETRY,
-     "            if (b.b0, b.block) < (a.b0, a.block):\n",
-     "            if (b.b0, b.block) > (a.b0, a.block):\n",
+     "            at -= p[0] * q[1] < q[0] * p[1]\n",
+     "            at -= p[0] * q[1] > q[0] * p[1]\n",
      ["tests/test_symmetry.py::TestOrbit::test_canonical_order",
       "tests/test_cli.py::TestOtherCommands"
       "::test_orbit_matches_golden_bytes"]),

@@ -225,8 +225,38 @@ class TestOrbit:
             assert edge.generator.startswith("sigma:")
 
 
+def reference_sigma(e, k):
+    """sigma_k as the update of (b_0, ..., b_{N-1}, u = b_N - b_0), built
+    through the public, validating constructors.  A zero pivot raises
+    ZeroPivot, with orbit's text, before anything is divided."""
+    n = e.n
+    if e.block[k - 1] == 0:
+        raise ZeroPivot("sigma_%d undefined: b_%d = 0" % (k, k))
+    alphas = list(e.alpha.alphas)
+    delta = (alphas[k] - alphas[k - 1]) / e.block[k - 1]
+    c = [e.b0] + list(e.block[:-1])
+    u = e.block[-1] - e.b0
+    c[k - 1] += delta
+    if k <= n - 2:
+        c[k + 1] -= delta
+    else:
+        u -= delta
+    alphas[k - 1], alphas[k] = alphas[k], alphas[k - 1]
+    return Expansion(c[0], c[1:] + [u + c[0]], AlphaSequence(alphas))
+
+
+def reference_eps_pi(e):
+    """epspi by its defining formulas, through the public constructors."""
+    n = e.n
+    b_last = e.block[-1]
+    block = [-e.block[n - 1 - j] for j in range(1, n)] + [-b_last]
+    return Expansion(e.b0 - b_last, block,
+                     AlphaSequence(list(reversed(e.alpha.alphas))))
+
+
 def value_keyed_orbit(e, pure=False):
-    """Reference BFS: build every generator image, dedup on Expansion.key().
+    """Reference BFS: build every generator image by the defining formulas,
+    dedup on Expansion.key().
 
     Returns the OrbitResult and the epspi parity of the BFS path to each
     element, by key.
@@ -240,8 +270,8 @@ def value_keyed_orbit(e, pure=False):
         for cur in frontier:
             for k in generators:
                 try:
-                    img = (apply_eps_pi(cur) if k is None
-                           else apply_sigma(cur, k))
+                    img = (reference_eps_pi(cur) if k is None
+                           else reference_sigma(cur, k))
                 except ZeroPivot as exc:
                     skipped.append(SkippedEdge(cur, "sigma:%d" % k, str(exc)))
                     continue
@@ -254,8 +284,8 @@ def value_keyed_orbit(e, pure=False):
     return OrbitResult(ordered, not skipped, tuple(skipped)), parity
 
 
-def seeded_expansion(rng, n, zero_share, pure=False):
-    """Shifts in -8..8; each b_i is 0 with probability zero_share."""
+def seeded_expansion(rng, n, zero_share, pure=False, shifts=range(-8, 9)):
+    """Shifts drawn from shifts; each b_i is 0 with probability zero_share."""
     def b():
         if rng.random() < zero_share:
             return F(0)
@@ -263,7 +293,7 @@ def seeded_expansion(rng, n, zero_share, pure=False):
     b0, block = b(), [b() for _ in range(n)]
     if pure:
         block[-1] = b0
-    return Expansion(b0, block, AlphaSequence(rng.sample(range(-8, 9), n)))
+    return Expansion(b0, block, AlphaSequence(rng.sample(shifts, n)))
 
 
 def expand_or_raise(t, alpha):
@@ -356,6 +386,25 @@ class TestOrbitAgainstValueKeyedBFS:
         got, _ = self.same_record(e, pure=True)
         assert (len(got.expansions), len(got.skipped_edges)) == (684, 36)
 
+    def test_rational_shifts(self):
+        # Shifts p/q with q <= 3, so the shift differences of sigma have
+        # denominators other than 1.
+        rng = random.Random(89)
+        grid = sorted({F(p, q) for q in (1, 2, 3) for p in range(-8, 9)})
+        incomplete = pure_count = 0
+        dens = set()
+        for _ in range(40):
+            n = rng.choice([1, 3, 3, 5])
+            pure = n >= 3 and rng.random() < 0.3
+            e = seeded_expansion(rng, n, rng.choice([0, 0.2, 0.4]), pure,
+                                 shifts=grid)
+            got, _ = self.same_record(e, pure)
+            incomplete += not got.complete
+            pure_count += pure
+            dens.update(a.denominator for a in e.alpha.alphas)
+        assert incomplete >= 5 and pure_count >= 5
+        assert dens == {1, 2, 3}
+
     def test_zero_half_trace(self):
         # Both branches are one expansion, so a complete orbit has N!
         # elements; past N = 1 the all-zero B = 0 expansions meet zero
@@ -389,32 +438,6 @@ class TestOrbitBranch:
                 assert factorize_transfer_matrix(m, x.alpha) == x
                 checked += 1
         assert checked > 300
-
-
-def reference_sigma(e, k):
-    """sigma_k as the update of (b_0, ..., b_{N-1}, u = b_N - b_0), built
-    through the public, validating constructors."""
-    n = e.n
-    alphas = list(e.alpha.alphas)
-    delta = (alphas[k] - alphas[k - 1]) / e.block[k - 1]
-    c = [e.b0] + list(e.block[:-1])
-    u = e.block[-1] - e.b0
-    c[k - 1] += delta
-    if k <= n - 2:
-        c[k + 1] -= delta
-    else:
-        u -= delta
-    alphas[k - 1], alphas[k] = alphas[k], alphas[k - 1]
-    return Expansion(c[0], c[1:] + [u + c[0]], AlphaSequence(alphas))
-
-
-def reference_eps_pi(e):
-    """epspi by its defining formulas, through the public constructors."""
-    n = e.n
-    b_last = e.block[-1]
-    block = [-e.block[n - 1 - j] for j in range(1, n)] + [-b_last]
-    return Expansion(e.b0 - b_last, block,
-                     AlphaSequence(list(reversed(e.alpha.alphas))))
 
 
 def corpus_orbits():
@@ -488,11 +511,12 @@ class TestGeneratorsAgainstReference:
 
 class TestOrbitCallsTheGenerators:
     def test_one_generator_call_per_new_element(self, monkeypatch):
-        # Every image comes from the module-level apply_sigma or
-        # apply_eps_pi, which a tracer may wrap, and only for a key not
-        # seen before: the start is the one element not built.
+        # Every image comes from the module-level pair step of sigma or
+        # epspi, the formulas apply_sigma and apply_eps_pi also run, and
+        # only for a key not seen before: the start is the one element
+        # not made by a step.
         calls = []
-        for name in ("apply_sigma", "apply_eps_pi"):
+        for name in ("_sigma_pairs", "_eps_pi_pairs"):
             real = getattr(symmetry, name)
             monkeypatch.setattr(
                 symmetry, name,
@@ -503,6 +527,30 @@ class TestOrbitCallsTheGenerators:
             calls.clear()
             orbits += 1
         assert orbits >= 60
+
+
+class TestOrbitPool:
+    @pytest.mark.parametrize("case", ["sect4", "seeded_n5"])
+    def test_each_value_is_one_fraction(self, case):
+        # orbit makes one Fraction per distinct value and one AlphaSequence
+        # per shift order, shared by the order's two branches.
+        if case == "sect4":
+            e = SECT4
+        else:
+            e = seeded_expansion(random.Random(99), 5, 0)
+        result = orbit(e)
+        assert result.complete
+        assert len(result.expansions) == 2 * math.factorial(e.n)
+        values = [v for x in result.expansions for v in (x.b0, *x.block)]
+        assert len({id(v) for v in values}) == len(set(values))
+        assert all(type(v) is Fraction for v in values)
+        assert all(type(a) is Fraction
+                   for x in result.expansions for a in x.alpha.alphas)
+        alphas = {}
+        for x in result.expansions:
+            alphas.setdefault(x.alpha.alphas, set()).add(id(x.alpha))
+        assert len(alphas) == math.factorial(e.n)
+        assert all(len(ids) == 1 for ids in alphas.values())
 
 
 class TestGroupAgainstPeel:
