@@ -150,16 +150,47 @@ class Expansion:
         )
 
 
-class AlphaTriple:
+class _PolyFields:
+    """Polynomial fields named by a subclass's __slots__, in that order.
+
+    The constructor checks that each field is a Polynomial and sets it;
+    equality (same class only), the hash and the Name(F=text, ...) repr
+    are derived from the fields.  AlphaTriple and JacobiTriple add their
+    own value checks and properties.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        for name, p in zip(self.__slots__, fields):
+            if not isinstance(p, Polynomial):
+                raise TypeError("%s must be a Polynomial, got %.40r"
+                                % (name, p))
+            setattr(self, name, p)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%s" % pair for pair in zip(self.__slots__, self._fields())))
+
+
+class AlphaTriple(_PolyFields):
     """Polynomials (A, B, C) with A monic deg g, C anti-monic deg g+1, deg B <= g."""
 
     __slots__ = ("A", "B", "C")
 
     def __init__(self, A: Polynomial, B: Polynomial, C: Polynomial):
-        for name, p in zip("ABC", (A, B, C)):
-            if not isinstance(p, Polynomial):
-                raise TypeError("%s must be a Polynomial, got %.40r"
-                                % (name, p))
+        super().__init__(A, B, C)
         if C.lead != -1:
             raise ValueError("C must be anti-monic")
         g = C.degree - 1
@@ -169,7 +200,6 @@ class AlphaTriple:
             raise ValueError("A must be monic of degree g")
         if B.degree > g:
             raise ValueError("deg B must be at most g")
-        self.A, self.B, self.C = A, B, C
 
     @property
     def genus(self) -> int:
@@ -178,17 +208,6 @@ class AlphaTriple:
     @property
     def discriminant(self) -> Polynomial:
         return self.B * self.B - self.A * self.C
-
-    def __eq__(self, other):
-        if not isinstance(other, AlphaTriple):
-            return NotImplemented
-        return (self.A, self.B, self.C) == (other.A, other.B, other.C)
-
-    def __hash__(self):
-        return hash((self.A, self.B, self.C))
-
-    def __repr__(self):
-        return "AlphaTriple(A=%s, B=%s, C=%s)" % (self.A, self.B, self.C)
 
 
 ConvergentPair = namedtuple("ConvergentPair", "P Q")

@@ -22,7 +22,7 @@ from .errors import (
     RootOfR,
     SpecialDivisor,
 )
-from .expansion import AlphaTriple
+from .expansion import AlphaTriple, _PolyFields
 from .polyring import (Polynomial, _with_root, as_fraction, as_sequence,
                        rational_roots, rational_sqrt)
 
@@ -31,17 +31,14 @@ CurvePoint = namedtuple("CurvePoint", "lam mu")
 CurvePoint.__doc__ = "An affine point (lambda, mu) with mu^2 = R(lambda)."
 
 
-class JacobiTriple:
+class JacobiTriple(_PolyFields):
     """Mumford-style data (U, V, W) on the curve mu^2 = R(lambda)."""
 
     __slots__ = ("U", "V", "W", "R")
 
     def __init__(self, U: Polynomial, V: Polynomial, W: Polynomial,
                  R: Polynomial):
-        for name, p in zip("UVWR", (U, V, W, R)):
-            if not isinstance(p, Polynomial):
-                raise TypeError("%s must be a Polynomial, got %.40r"
-                                % (name, p))
+        super().__init__(U, V, W, R)
         if U.lead != 1:
             raise ValueError("U must be monic")
         g = U.degree
@@ -51,24 +48,10 @@ class JacobiTriple:
             raise ValueError("deg V must be at most g - 1")
         if V * V + U * W != R:
             raise ValueError("V^2 + U W must equal R")
-        self.U, self.V, self.W, self.R = U, V, W, R
 
     @property
     def genus(self) -> int:
         return self.U.degree
-
-    def __eq__(self, other):
-        if not isinstance(other, JacobiTriple):
-            return NotImplemented
-        return (self.U, self.V, self.W, self.R) == \
-               (other.U, other.V, other.W, other.R)
-
-    def __hash__(self):
-        return hash((self.U, self.V, self.W, self.R))
-
-    def __repr__(self):
-        return "JacobiTriple(U=%s, V=%s, W=%s, R=%s)" % (
-            self.U, self.V, self.W, self.R)
 
 
 def jacobi_from_divisor(points, R: Polynomial) -> JacobiTriple:

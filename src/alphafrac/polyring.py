@@ -171,7 +171,9 @@ def _horner_div(num, r, s):
     quotient's coefficient of x^(n-2-j), so one scaling puts them all over
     s^(n-2) (over 1 when s = 1).  For len(num) = 1, quot is empty and
     sk // s may be 0, a denominator that _make drops with the zero
-    polynomial.
+    polynomial.  The peel keeps this kernel rather than the general
+    _pseudo_divmod: through it, peel steps ran 1.15-1.25x slower at
+    N = 5..61 and an in-process expand_roundtrip about 3-4 % slower.
     """
     acc, sk, quot = 0, 1, []
     for c in reversed(num):

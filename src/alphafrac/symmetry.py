@@ -8,18 +8,21 @@ in the pure case the group breaks down to S_{N-1} (sigma_1 .. sigma_{N-2}).
 
 Each generator's formula is written once, as a step on the reduced integer
 pairs (numerator, denominator > 0) of b_0, ..., b_N: _sigma_pairs and
-_eps_pi_pairs.  apply_sigma and apply_eps_pi validate their arguments and
-run these steps; orbit runs them on the pairs of its whole walk.  Group
-images skip re-validation: they are built through the unchecked
-AlphaSequence._from_checked and Expansion._from_checked.  That is sound
-because an image comes from an expansion the public constructors already
-checked: its shifts are a permutation of pairwise distinct Fractions, so
-their count stays odd and they stay distinct, and each new b_i is a sum,
-difference, quotient or negation of rationals, reduced after every step
-and made a Fraction by the public Fraction(num, den), so nothing needs
-coercing.  Outside input (the CLI, serialize, datasets and library
-callers) takes the validating constructors, and tests/test_source.py keeps
-every other module of the package off the unchecked ones.
+_eps_pi_pairs.  All three generator entry points, apply_sigma,
+apply_eps_pi and apply_word, validate their arguments and run the one walk
+_act, which converts the expansion to pairs once, applies each letter's
+step and builds one image at the end; orbit runs the steps on the pairs of
+its whole BFS.  Group images skip re-validation: they are built through
+the unchecked AlphaSequence._from_checked and Expansion._from_checked.
+That is sound because an image comes from an expansion the public
+constructors already checked: its shifts are a permutation of pairwise
+distinct Fractions, so their count stays odd and they stay distinct, and
+each new b_i is a sum, difference, quotient or negation of rationals,
+reduced after every step and made a Fraction by the public
+Fraction(num, den), so nothing needs coercing.  Outside input (the CLI,
+serialize, datasets and library callers) takes the validating
+constructors, and tests/test_source.py keeps every other module of the
+package off the unchecked ones.
 """
 
 import re
@@ -33,9 +36,9 @@ from .expansion import AlphaSequence, Expansion, expansion_to_triple
 from .polyring import as_sequence
 
 
-def _zero_pivot(k: int) -> ZeroPivot:
-    """The error of sigma_k at b_k = 0, where it is undefined."""
-    return ZeroPivot("sigma_%d undefined: b_%d = 0" % (k, k))
+def _undefined(k: int) -> str:
+    """The text of sigma_k's error at b_k = 0, where it is undefined."""
+    return "sigma_%d undefined: b_%d = 0" % (k, k)
 
 
 def _pair(x: Fraction) -> tuple:
@@ -87,9 +90,32 @@ def _eps_pi_pairs(b: tuple, pool: dict) -> tuple:
     return (_plus(b[0], *neg[0], pool), *neg[1:], neg[0])
 
 
-def _from_pairs(b: tuple, alpha: AlphaSequence) -> Expansion:
+def _act(e: Expansion, letters) -> Expansion:
+    """e under the letters of parse_word, left to right: sigma indices k,
+    None for epspi.
+
+    e's b_0, ..., b_N become reduced pairs once, in one pool; each letter
+    runs its pair step and permutes the shifts alongside, and the image is
+    built once, at the end.  A zero pivot at letter i (from 0) raises
+    ZeroPivot naming step i.
+    """
+    pool = {}
+    b = _pairs(e, pool)
+    alphas = e.alpha.alphas
+    for i, k in enumerate(letters):
+        if k is None:
+            b = _eps_pi_pairs(b, pool)
+            alphas = alphas[::-1]
+        elif b[k][0]:
+            alphas = (alphas[:k - 1] + (alphas[k], alphas[k - 1])
+                      + alphas[k + 1:])
+            # Swapped, so this is alpha_{k+1} - alpha_k.
+            b = _sigma_pairs(b, k, _pair(alphas[k - 1] - alphas[k]), pool)
+        else:
+            raise ZeroPivot("step %d: %s" % (i, _undefined(k)))
     return Expansion._from_checked(
-        Fraction(*b[0]), tuple([Fraction(*p) for p in b[1:]]), alpha)
+        Fraction(*b[0]), tuple([Fraction(*p) for p in b[1:]]),
+        AlphaSequence._from_checked(alphas))
 
 
 def apply_sigma(e: Expansion, k: int) -> Expansion:
@@ -103,15 +129,9 @@ def apply_sigma(e: Expansion, k: int) -> Expansion:
                         % type(k).__name__)
     if not 1 <= k <= e.n - 1:
         raise ValueError("sigma index must satisfy 1 <= k <= N-1")
-    pool = {}
-    b = _pairs(e, pool)
-    if not b[k][0]:
-        raise _zero_pivot(k)
-    alphas = e.alpha.alphas
-    a, c = alphas[k - 1], alphas[k]
-    return _from_pairs(
-        _sigma_pairs(b, k, _pair(c - a), pool),
-        AlphaSequence._from_checked(alphas[:k - 1] + (c, a) + alphas[k + 1:]))
+    if not e.block[k - 1]:
+        raise ZeroPivot(_undefined(k))
+    return _act(e, [k])
 
 
 def apply_eps_pi(e: Expansion) -> Expansion:
@@ -119,9 +139,7 @@ def apply_eps_pi(e: Expansion) -> Expansion:
 
     b~_j = -b_{N-j} for 1 <= j <= N-1, b~_0 = b_0 - b_N, b~_N = -b_N.
     """
-    pool = {}
-    return _from_pairs(_eps_pi_pairs(_pairs(e, pool), pool),
-                       AlphaSequence._from_checked(e.alpha.alphas[::-1]))
+    return _act(e, [None])
 
 
 _SIGMA = re.compile(r"sigma:([1-9][0-9]*)")
@@ -152,12 +170,7 @@ def parse_word(letters, n: int):
 
 def apply_word(e: Expansion, letters) -> Expansion:
     """Left-to-right composition of the generators named by the word."""
-    for i, k in enumerate(parse_word(letters, e.n)):
-        try:
-            e = apply_eps_pi(e) if k is None else apply_sigma(e, k)
-        except ZeroPivot as exc:
-            raise ZeroPivot("step %d: %s" % (i, exc)) from None
-    return e
+    return _act(e, parse_word(letters, e.n))
 
 
 SkippedEdge = namedtuple("SkippedEdge", "source generator detail")
@@ -257,5 +270,5 @@ def orbit(e: Expansion, pure: bool = False) -> OrbitResult:
         ordered.insert(at, x)
         last, last_b = order, b
     return OrbitResult(tuple(ordered), not skipped, tuple(
-        SkippedEdge(seen[key], "sigma:%d" % k, str(_zero_pivot(k)))
+        SkippedEdge(seen[key], "sigma:%d" % k, _undefined(k))
         for key, k in skipped))

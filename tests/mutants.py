@@ -280,6 +280,36 @@ MUTANTS = [
      "        except FactorizationDegenerate:\n            raise\n",
      ["tests/test_expansion.py::TestExpand::test_degenerate_branch",
       "tests/test_cli.py::TestExpandCommand::test_degenerate_branch"]),
+    ("the walk's epspi keeps the shift order", SYMMETRY,
+     "            alphas = alphas[::-1]\n",
+     "            pass\n",
+     ["tests/test_symmetry.py::TestEpsPi::test_sect4",
+      "tests/test_symmetry.py::TestWord"
+      "::test_composition_reaches_conjugate_row"]),
+    ("the walk names the step after the zero pivot", SYMMETRY,
+     '"step %d: %s" % (i, _undefined(k))',
+     '"step %d: %s" % (i + 1, _undefined(k))',
+     ["tests/test_symmetry.py::TestWord::test_zero_pivot_reports_step",
+      "tests/test_symmetry.py::TestWord"
+      "::test_later_zero_pivot_reports_its_step"]),
+    # The walk still stops there, but as step 0 of a word.
+    ("apply_sigma without its own zero test", SYMMETRY,
+     "    if not e.block[k - 1]:\n        raise ZeroPivot(_undefined(k))\n",
+     "",
+     ["tests/test_symmetry.py::TestSigma::test_zero_pivot",
+      "tests/test_symmetry.py::TestWord"
+      "::test_word_is_the_fold_of_the_generators"]),
+    ("triple equality skips the last field", EXPANSION,
+     "        return self._fields() == other._fields()\n",
+     "        return self._fields()[:-1] == other._fields()[:-1]\n",
+     ["tests/test_expansion.py::TestValueSemantics::test_each_field_counts"]),
+    ("the triples' type check skips the last field", EXPANSION,
+     "            if not isinstance(p, Polynomial):\n",
+     "            if not isinstance(p, Polynomial)"
+     " and name != self.__slots__[-1]:\n",
+     ["tests/test_expansion.py::TestConstructorChecks"
+      "::test_alpha_triple_fields_are_polynomials",
+      "tests/test_jacobi.py::TestJacobiTriple::test_fields_are_polynomials"]),
 ]
 
 

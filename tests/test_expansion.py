@@ -133,6 +133,17 @@ class TestValueSemantics:
         assert a.__eq__(other) is NotImplemented
         assert (a == other) is False and (a != other) is True
 
+    @pytest.mark.parametrize("field", range(3))
+    def test_each_field_counts(self, field):
+        # Triples that differ in one field alone are unequal, and the two
+        # triple types never compare equal.
+        t = SECT4_TRIPLE
+        fields = [t.A, t.B, t.C]
+        fields[field] = fields[field] + Polynomial([1])
+        other = AlphaTriple(*fields)
+        assert other != t and t != other
+        assert t.__eq__(twins("JacobiTriple")[0]) is NotImplemented
+
     @pytest.mark.parametrize("g", [0, 1, 2, 4])
     def test_jacobi_genus(self, g):
         assert random_jacobi(random.Random(g), g).genus == g

@@ -63,7 +63,7 @@ class TestSigma:
 
     def test_zero_pivot(self):
         e = make_expansion(1, [0, 1, 2], [1, 3, 4])
-        with pytest.raises(ZeroPivot):
+        with pytest.raises(ZeroPivot, match=r"^sigma_1 undefined: b_1 = 0$"):
             apply_sigma(e, 1)
 
     def test_index_range(self):
@@ -136,6 +136,52 @@ class TestWord:
         e = make_expansion(1, [0, 1, 2], [1, 3, 4])
         with pytest.raises(ZeroPivot, match="step 0"):
             apply_word(e, ["sigma:1"])
+
+    def test_later_zero_pivot_reports_its_step(self):
+        # sigma_2 keeps b_2 and is an involution, so the third letter
+        # meets b_1 = 0 again.
+        e = make_expansion(1, [0, 1, 2], [1, 3, 4])
+        with pytest.raises(ZeroPivot,
+                           match=r"^step 2: sigma_1 undefined: b_1 = 0$"):
+            apply_word(e, ["sigma:2", "sigma:2", "sigma:1"])
+
+    def test_word_is_the_fold_of_the_generators(self):
+        # apply_word walks the whole word on pairs; it must give what one
+        # apply_sigma or apply_eps_pi per letter gives, and stop at the
+        # same zero pivot with the step prepended to the same text.
+        rng = random.Random(101)
+        grid = sorted({F(p, q) for q in (1, 2, 3) for p in range(-8, 9)})
+        cases, later_stops = set(), 0
+        for _ in range(400):
+            n = rng.choice([1, 3, 5, 7])
+            rational = rng.random() < 0.5
+            e = seeded_expansion(rng, n, rng.choice([0, 0.1, 0.3]),
+                                 shifts=grid if rational else range(-8, 9))
+            word = [rng.choice(["epspi"] + ["sigma:%d" % k
+                                            for k in range(1, n)])
+                    for _ in range(rng.randint(0, 12))]
+            want, text = e, None
+            for i, k in enumerate(parse_word(word, n)):
+                try:
+                    want = (apply_eps_pi(want) if k is None
+                            else apply_sigma(want, k))
+                except ZeroPivot as exc:
+                    text = "step %d: %s" % (i, exc)
+                    later_stops += i > 0
+                    break
+            if text is None:
+                assert apply_word(e, word) == want
+            else:
+                with pytest.raises(ZeroPivot) as info:
+                    apply_word(e, word)
+                assert str(info.value) == text
+            cases.add((n, rational, len(word), text is None))
+        assert {n for n, *_ in cases} == {1, 3, 5, 7}
+        assert {r for _, r, *_ in cases} == {True, False}
+        assert {length for _, _, length, _ in cases} == set(range(13))
+        assert {(n, ok) for n, _, _, ok in cases} >= {
+            (n, ok) for n in (3, 5, 7) for ok in (True, False)}
+        assert later_stops >= 20
 
 
 class TestTripleInvariance:
