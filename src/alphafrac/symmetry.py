@@ -11,18 +11,20 @@ pairs (numerator, denominator > 0) of b_0, ..., b_N: _sigma_pairs and
 _eps_pi_pairs.  All three generator entry points, apply_sigma,
 apply_eps_pi and apply_word, validate their arguments and run the one walk
 _act, which converts the expansion to pairs once, applies each letter's
-step and builds one image at the end; orbit runs the steps on the pairs of
-its whole BFS.  Group images skip re-validation: they are built through
-the unchecked AlphaSequence._from_checked and Expansion._from_checked.
-That is sound because an image comes from an expansion the public
-constructors already checked: its shifts are a permutation of pairwise
-distinct Fractions, so their count stays odd and they stay distinct, and
-each new b_i is a sum, difference, quotient or negation of rationals,
-reduced after every step and made a Fraction by the public
-Fraction(num, den), so nothing needs coercing.  Outside input (the CLI,
-serialize, datasets and library callers) takes the validating
-constructors, and tests/test_source.py keeps every other module of the
-package off the unchecked ones.
+step and builds one image at the end.  orbit runs the steps on the pairs
+of its whole orbit: a walk by plain changes, one adjacent swap per new
+element, and a breadth-first search only where a zero pivot may cut an
+edge; either way an orbit of m elements takes m - 1 steps.  Group images
+skip re-validation: they are built through the unchecked
+AlphaSequence._from_checked and Expansion._from_checked.  That is sound
+because an image comes from an expansion the public constructors already
+checked: its shifts are a permutation of pairwise distinct Fractions, so
+their count stays odd and they stay distinct, and each new b_i is a sum,
+difference, quotient or negation of rationals, reduced after every step
+and made a Fraction by the public Fraction(num, den), so nothing needs
+coercing.  Outside input (the CLI, serialize, datasets and library
+callers) takes the validating constructors, and tests/test_source.py keeps
+every other module of the package off the unchecked ones.
 """
 
 import re
@@ -173,37 +175,87 @@ def apply_word(e: Expansion, letters) -> Expansion:
     return _act(e, parse_word(letters, e.n))
 
 
+def _plain_changes(m: int) -> list:
+    """The sigma indices k (1 <= k <= m - 1) of the plain-changes order of
+    m positions: m! - 1 adjacent swaps that visit every order once.
+
+    The last element sweeps down and up across all m positions, and each
+    turn takes one step of the order of the other m - 1, shifted by one
+    after a downward sweep (Johnson 1963; Knuth, TAOCP 4A, Algorithm P).
+    """
+    seq = []
+    for j in range(2, m + 1):
+        down, up = range(j - 1, 0, -1), range(1, j)
+        out = list(down)
+        for i, k in enumerate(seq):
+            out.append(k if i % 2 else k + 1)
+            out += down if i % 2 else up
+        seq = out
+    return seq
+
+
+def _walk(start: tuple, b: tuple, m: int, flip: bool, diffs: list,
+          pool: dict) -> dict:
+    """orbit's keys by plain changes of their first m ranks, to their pairs.
+
+    Branch (0, 1) is walked from start, whose pairs are b; if flip, epspi
+    then takes start to branch (1, 0), walked from the reversed order.
+    The walk stops at the first zero pivot and returns what it has.
+    """
+    walked, seq, key = {}, _plain_changes(m), list(start)
+    while True:
+        walked[tuple(key)] = b
+        for k in seq:
+            if not b[k][0]:
+                return walked
+            i, j = key[k - 1], key[k]
+            b = _sigma_pairs(b, k, diffs[i][j], pool)
+            key[k - 1], key[k] = j, i
+            walked[tuple(key)] = b
+        if not flip or key[-2]:
+            return walked
+        key = [*start[-3::-1], 1, 0]
+        b = _eps_pi_pairs(walked[start], pool)
+
+
 SkippedEdge = namedtuple("SkippedEdge", "source generator detail")
 OrbitResult = namedtuple("OrbitResult", "expansions complete skipped_edges")
 
 
 def orbit(e: Expansion, pure: bool = False) -> OrbitResult:
-    """Breadth-first closure of e under the group generators.
+    """Closure of e under the group generators.
 
     In pure mode (requires e pure) only sigma_1 .. sigma_{N-2} act.
     Zero-pivot edges are recorded and skipped, not fatal.  Expansions come
     back in canonical order: lexicographic on (alpha order, b_0, block).
 
-    Each image is keyed by its shift order and branch, and built only if
-    the key is new.  A key is one flat tuple of N + 2 small ints: the ranks
-    of the shifts, then (branch, 1 - branch).  The branch is the parity of
-    the epspi steps, kept at 0 when the half-trace is 0 as both branches
-    then coincide.  The key determines the element because the
-    alpha-fraction of a fixed phi over a fixed shift order is unique.  Each
-    generator moves keys by one operator.itemgetter, built once per call:
-    sigma_k swaps ranks k and k + 1, and epspi reverses the ranks and swaps
-    the branch pair.
+    Each element is keyed by its shift order and branch.  A key is one
+    flat tuple of N + 2 small ints: the ranks of the shifts, then
+    (branch, 1 - branch).  The branch is the parity of the epspi steps,
+    kept at 0 when the half-trace is 0 as both branches then coincide.
+    The key determines the element because the alpha-fraction of a fixed
+    phi over a fixed shift order is unique.
 
-    The walk holds each element as the reduced integer pairs of its
-    b_0, ..., b_N, made by _sigma_pairs or _eps_pi_pairs once per new key,
-    so an orbit of m elements takes m - 1 steps.  The generic orbit's
-    2 * N! elements hold few distinct values, so the pairs are interned in
-    one pool per call and equal values share one pair.  After the walk
-    each pooled pair becomes one Fraction, and each element is built once,
-    in canonical order, over one AlphaSequence per shift order, shared by
-    its two branches.  Ranks order like the shifts, so canonical order is
-    the sorted keys, with the two branches of one shift order then put in
-    (b_0, block) order.
+    The orbit is first walked by plain changes (_walk): one sigma step per
+    new shift order, and on branch 1 one epspi step from e, then the same
+    walk from the reversed order.  Only where a zero pivot may cut an edge,
+    that is when the pool holds 0, a breadth-first search from e redoes the
+    closure, with every generator on every element: sigma_k swaps ranks
+    k and k + 1 and epspi reverses the ranks and swaps the branch pair,
+    each as one operator.itemgetter.  It takes the pairs of each element
+    the walk made and runs a step only for the others, and records the
+    skipped edges in its own order.
+
+    The orbit holds each element as the reduced integer pairs of its
+    b_0, ..., b_N, made by _sigma_pairs or _eps_pi_pairs once per key, so
+    an orbit of m elements takes m - 1 steps, walked or searched.  The
+    generic orbit's 2 * N! elements hold few distinct values, so the pairs
+    are interned in one pool per call and equal values share one pair.
+    Then each pooled pair becomes one Fraction, and each element is built
+    once, in canonical order, over one AlphaSequence per shift order,
+    shared by its two branches.  Ranks order like the shifts, so canonical
+    order is the sorted keys, with the two branches of one shift order
+    then put in (b_0, block) order.
     """
     if not isinstance(pure, bool):
         raise TypeError("pure must be a bool, got %.40r" % (pure,))
@@ -211,44 +263,49 @@ def orbit(e: Expansion, pure: bool = False) -> OrbitResult:
         raise NotPure("pure orbit requested for a non-pure expansion")
     n = e.n
     flip = not pure and bool(expansion_to_triple(e)[1])
-    # Sigmas by index, then epspi, as in parse_word.  A key has N + 2 >= 3
-    # entries, so every getter returns a tuple.
-    places = list(range(n + 2))
-    sigmas = []
-    for k in range(1, n - 1 if pure else n):
-        swap = places[:]
-        swap[k - 1:k + 1] = k, k - 1
-        sigmas.append((k, itemgetter(*swap)))
-    eps_pi = None if pure else itemgetter(
-        *places[n - 1::-1], *((n + 1, n) if flip else (n, n + 1)))
     shifts = sorted(e.alpha.alphas)
     rank = {a: i for i, a in enumerate(shifts)}
     # alpha_j - alpha_i by the ranks i and j, as pairs.
     diffs = [[_pair(c - a) for c in shifts] for a in shifts]
     start = tuple(rank[a] for a in e.alpha.alphas) + (0, 1)
     pool = {}
-    seen = {start: _pairs(e, pool)}
-    frontier = [start]
+    b = _pairs(e, pool)
+    seen = walked = _walk(start, b, n - 1 if pure else n, flip, diffs, pool)
     skipped = []
-    while frontier:
-        nxt = []
-        for key in frontier:
-            b = seen[key]
-            for k, move in sigmas:
-                if not b[k][0]:  # only a sigma divides
-                    skipped.append((key, k))
-                    continue
-                img = move(key)
-                if img not in seen:
-                    seen[img] = _sigma_pairs(b, k, diffs[key[k - 1]][key[k]],
-                                             pool)
-                    nxt.append(img)
-            if eps_pi is not None:
-                img = eps_pi(key)
-                if img not in seen:
-                    seen[img] = _eps_pi_pairs(b, pool)
-                    nxt.append(img)
-        frontier = nxt
+    # Every pair is pooled, so a zero pivot anywhere, where the walk
+    # stopped or not, leaves (0, 1) in the pool.
+    if (0, 1) in pool:
+        # Sigmas by index, then epspi, as in parse_word.  A key has
+        # N + 2 >= 3 entries, so every getter returns a tuple.
+        places = list(range(n + 2))
+        sigmas = []
+        for k in range(1, n - 1 if pure else n):
+            swap = places[:]
+            swap[k - 1:k + 1] = k, k - 1
+            sigmas.append((k, itemgetter(*swap)))
+        eps_pi = None if pure else itemgetter(
+            *places[n - 1::-1], *((n + 1, n) if flip else (n, n + 1)))
+        seen = {start: b}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for key in frontier:
+                b = seen[key]
+                for k, move in sigmas:
+                    if not b[k][0]:  # only a sigma divides
+                        skipped.append((key, k))
+                        continue
+                    img = move(key)
+                    if img not in seen:
+                        seen[img] = walked.get(img) or _sigma_pairs(
+                            b, k, diffs[key[k - 1]][key[k]], pool)
+                        nxt.append(img)
+                if eps_pi is not None:
+                    img = eps_pi(key)
+                    if img not in seen:
+                        seen[img] = walked.get(img) or _eps_pi_pairs(b, pool)
+                        nxt.append(img)
+            frontier = nxt
     for p in pool:
         pool[p] = Fraction(*p)
     value = pool.__getitem__

@@ -299,6 +299,34 @@ MUTANTS = [
      ["tests/test_symmetry.py::TestSigma::test_zero_pivot",
       "tests/test_symmetry.py::TestWord"
       "::test_word_is_the_fold_of_the_generators"]),
+    # A walk stopped at a zero pivot then stands for the whole orbit.
+    ("orbit uses the walk despite a 0 in the pool", SYMMETRY,
+     "    if (0, 1) in pool:\n",
+     "    if False:\n",
+     ["tests/test_symmetry.py::TestOrbitWalk"
+      "::test_zero_in_the_pool_runs_the_search",
+      "tests/test_symmetry.py::TestOrbit::test_zero_pivot_edges_reported"]),
+    ("the search steps to a sigma image the walk made", SYMMETRY,
+     "walked.get(img) or _sigma_pairs(",
+     "_sigma_pairs(",
+     ["tests/test_symmetry.py::TestOrbitCallsTheGenerators"
+      "::test_one_generator_call_per_new_element"]),
+    ("the search steps to an epspi image the walk made", SYMMETRY,
+     "walked.get(img) or _eps_pi_pairs(b, pool)",
+     "_eps_pi_pairs(b, pool)",
+     ["tests/test_symmetry.py::TestOrbitCallsTheGenerators"
+      "::test_one_generator_call_per_new_element"]),
+    ("a plain-changes sweep stops one swap short", SYMMETRY,
+     "down, up = range(j - 1, 0, -1), range(1, j)",
+     "down, up = range(j - 1, 1, -1), range(1, j)",
+     ["tests/test_symmetry.py::TestOrbitWalk"
+      "::test_plain_changes_visit_every_order_once",
+      "tests/test_symmetry.py::TestOrbit::test_generic_orbit_size"]),
+    ("the walk's branch 1 starts from the unreversed order", SYMMETRY,
+     "key = [*start[-3::-1], 1, 0]",
+     "key = [*start[:-2], 1, 0]",
+     ["tests/test_symmetry.py::TestOrbit"
+      "::test_sect4_orbit_is_golden_table"]),
     ("triple equality skips the last field", EXPANSION,
      "        return self._fields() == other._fields()\n",
      "        return self._fields()[:-1] == other._fields()[:-1]\n",

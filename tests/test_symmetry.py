@@ -575,6 +575,73 @@ class TestOrbitCallsTheGenerators:
         assert orbits >= 60
 
 
+class TestOrbitWalk:
+    @pytest.mark.parametrize("m", range(8))
+    def test_plain_changes_visit_every_order_once(self, m):
+        seq = symmetry._plain_changes(m)
+        assert len(seq) == max(math.factorial(m) - 1, 0)
+        assert all(1 <= k <= m - 1 for k in seq)
+        order = list(range(m))
+        orders = {tuple(order)}
+        for k in seq:
+            order[k - 1], order[k] = order[k], order[k - 1]
+            orders.add(tuple(order))
+        assert len(orders) == math.factorial(m)
+
+    def test_search_alone_gives_the_same_records(self, monkeypatch):
+        # The walk must change no byte, the skipped edges' order included.
+        want = [canonical_dumps(orbit_to_json(r)) for r in corpus_orbits()]
+
+        def stopped_at_once(start, b, m, flip, diffs, pool):
+            # A walk that met a zero pivot before its first step: nothing
+            # walked and 0 pooled, so the search makes every element.
+            pool.setdefault((0, 1), (0, 1))
+            return {}
+        monkeypatch.setattr(symmetry, "_walk", stopped_at_once)
+        assert [canonical_dumps(orbit_to_json(r))
+                for r in corpus_orbits()] == want
+
+    def test_zero_in_the_pool_runs_the_search(self, monkeypatch):
+        # b_0 = 0 is no pivot: the walk visits all 12 keys, yet the pool
+        # holds 0, so the search runs and takes each of the 11 images it
+        # reaches from the walk.
+        e = make_expansion(0, [2, F(5, 2), 2], [F(-5, 3), -4, -3])
+        lookups = []
+
+        class Walked(dict):
+            def get(self, key):
+                lookups.append(key)
+                return dict.get(self, key)
+        real = symmetry._walk
+        monkeypatch.setattr(symmetry, "_walk",
+                            lambda *args: Walked(real(*args)))
+        got = orbit(e)
+        assert got.complete and len(got.expansions) == 12
+        assert len(set(lookups)) == len(lookups) == 11
+        want, _ = value_keyed_orbit(e)
+        assert canonical_dumps(orbit_to_json(got)) == \
+            canonical_dumps(orbit_to_json(want))
+
+    def test_a_skipped_edge_leaves_its_image_out(self):
+        # Where b_k = 0, sigma_k's image has no alpha-fraction: the peel of
+        # the same triple and half-trace over the swapped shifts fails.  So
+        # an orbit with a skipped edge misses a key, and a walk that visits
+        # every key meets no zero pivot.
+        edges = 0
+        for result in corpus_orbits():
+            for edge in result.skipped_edges:
+                x, k = edge.source, int(edge.generator.split(":")[1])
+                alphas = list(x.alpha.alphas)
+                alphas[k - 1], alphas[k] = alphas[k], alphas[k - 1]
+                triple, half_trace = expansion_to_triple(x)
+                with pytest.raises(FactorizationDegenerate):
+                    factorize_transfer_matrix(
+                        build_transfer_matrix(triple, half_trace),
+                        AlphaSequence(alphas))
+                edges += 1
+        assert edges >= 250
+
+
 class TestOrbitPool:
     @pytest.mark.parametrize("case", ["sect4", "seeded_n5"])
     def test_each_value_is_one_fraction(self, case):
