@@ -44,11 +44,16 @@ from .serialize import (
 from .symmetry import apply_word, orbit
 
 
+def _error_record(name, exc) -> dict:
+    """The record of an error: its name and exc's text."""
+    return {"error": name, "detail": str(exc)}
+
+
 def _cmd_expand(payload, args):
     triple = triple_from_json(payload)
     alpha = alpha_from_json(payload["alpha"])
     # A degenerate branch keeps its place in the list, as its error record.
-    return [{"error": type(e).__name__, "detail": str(e)}
+    return [_error_record(type(e).__name__, e)
             if isinstance(e, AlphaFractionError) else expansion_to_json(e)
             for e in expand(triple, alpha)]
 
@@ -197,7 +202,12 @@ def _read_payload(args):
     else:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return json.loads(text)
+    payload = json.loads(text)
+    # Every subcommand that reads input takes an object.
+    if not isinstance(payload, dict):
+        raise ValueError("input must be a JSON object, got %.40r"
+                         % (payload,))
+    return payload
 
 
 def _write_result(args, result):
@@ -225,11 +235,10 @@ def main(argv=None) -> int:
         _write_result(args, result)
     except AlphaFractionError as exc:
         sys.stderr.write(canonical_dumps(
-            {"error": type(exc).__name__, "detail": str(exc)}))
+            _error_record(type(exc).__name__, exc)))
         return 1
     except (KeyError, TypeError, ValueError, OSError, RecursionError) as exc:
-        sys.stderr.write(canonical_dumps(
-            {"error": "MalformedInput", "detail": str(exc)}))
+        sys.stderr.write(canonical_dumps(_error_record("MalformedInput", exc)))
         return 2
     finally:
         if limit is not None:

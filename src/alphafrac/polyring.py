@@ -60,15 +60,20 @@ def as_fraction(x) -> Fraction:
 def as_sequence(xs):
     """xs, which stands for a sequence: of rationals, a point or a group word.
 
-    Text, a dict or a set raises TypeError: iterated, "12" would be the
-    rationals "1" and "2", b"12" the integers 49 and 50, the word "epspi"
-    the letters "e", "p", ..., a dict its keys and a set its hash order.
+    Text, a dict, a set or anything that cannot be iterated raises
+    TypeError: iterated, "12" would be the rationals "1" and "2", b"12" the
+    integers 49 and 50, the word "epspi" the letters "e", "p", ..., a dict
+    its keys and a set its hash order.
     """
-    if isinstance(xs, (str, bytes, bytearray, dict, set, frozenset)):
-        text = isinstance(xs, (str, bytes, bytearray))
-        kind = "text" if text else type(xs).__name__
-        raise TypeError("expected a sequence, got the %s %.40r" % (kind, xs))
-    return xs
+    if not isinstance(xs, (str, bytes, bytearray, dict, set, frozenset)):
+        try:
+            iter(xs)
+            return xs
+        except TypeError:
+            pass
+    text = isinstance(xs, (str, bytes, bytearray))
+    kind = "text" if text else type(xs).__name__
+    raise TypeError("expected a sequence, got the %s %.40r" % (kind, xs))
 
 
 def rational_sqrt(x: Fraction):

@@ -13,18 +13,19 @@ apply_eps_pi and apply_word, validate their arguments and run the one walk
 _act, which converts the expansion to pairs once, applies each letter's
 step and builds one image at the end.  orbit runs the steps on the pairs
 of its whole orbit: a walk by plain changes, one adjacent swap per new
-element, and a breadth-first search only where a zero pivot may cut an
-edge; either way an orbit of m elements takes m - 1 steps.  Group images
-skip re-validation: they are built through the unchecked
-AlphaSequence._from_checked and Expansion._from_checked.  That is sound
-because an image comes from an expansion the public constructors already
-checked: its shifts are a permutation of pairwise distinct Fractions, so
-their count stays odd and they stay distinct, and each new b_i is a sum,
-difference, quotient or negation of rationals, reduced after every step
-and made a Fraction by the public Fraction(num, den), so nothing needs
-coercing.  Outside input (the CLI, serialize, datasets and library
-callers) takes the validating constructors, and tests/test_source.py keeps
-every other module of the package off the unchecked ones.
+element, and a breadth-first search exactly when the walk finds the orbit
+incomplete, cut by a zero pivot; either way an orbit of m elements takes
+m - 1 steps.  Group images skip re-validation: they are built through the
+unchecked AlphaSequence._from_checked and Expansion._from_checked.  That
+is sound because an image comes from an expansion the public constructors
+already checked: its shifts are a permutation of pairwise distinct
+Fractions, so their count stays odd and they stay distinct, and each new
+b_i is a sum, difference, quotient or negation of rationals, reduced after
+every step and made a Fraction by the public Fraction(num, den), so
+nothing needs coercing.  Outside input (the CLI, serialize, datasets and
+library callers) takes the validating constructors, and
+tests/test_source.py keeps every other module of the package off the
+unchecked ones.
 """
 
 import re
@@ -194,28 +195,54 @@ def _plain_changes(m: int) -> list:
     return seq
 
 
-def _walk(start: tuple, b: tuple, m: int, flip: bool, diffs: list,
+def _walk(key: tuple, b: tuple, seq: list, sigmas: list, diffs: list,
           pool: dict) -> dict:
-    """orbit's keys by plain changes of their first m ranks, to their pairs.
+    """One branch of orbit's keys, walked from key, whose pairs are b, by
+    the sigma indices seq of plain changes, to their pairs.
 
-    Branch (0, 1) is walked from start, whose pairs are b; if flip, epspi
-    then takes start to branch (1, 0), walked from the reversed order.
-    The walk stops at the first zero pivot and returns what it has.
+    sigmas[k - 1] is sigma_k's move on a key.  The walk stops at the first
+    zero pivot and returns what it has.
     """
-    walked, seq, key = {}, _plain_changes(m), list(start)
-    while True:
-        walked[tuple(key)] = b
-        for k in seq:
-            if not b[k][0]:
-                return walked
-            i, j = key[k - 1], key[k]
-            b = _sigma_pairs(b, k, diffs[i][j], pool)
-            key[k - 1], key[k] = j, i
-            walked[tuple(key)] = b
-        if not flip or key[-2]:
-            return walked
-        key = [*start[-3::-1], 1, 0]
-        b = _eps_pi_pairs(walked[start], pool)
+    walked = {key: b}
+    for k in seq:
+        if not b[k][0]:
+            break
+        b = _sigma_pairs(b, k, diffs[key[k - 1]][key[k]], pool)
+        key = sigmas[k - 1](key)
+        walked[key] = b
+    return walked
+
+
+def _search(start: tuple, b: tuple, sigmas: list, eps_pi, walked: dict,
+            diffs: list, pool: dict) -> tuple:
+    """orbit's keys by a breadth-first search from start, whose pairs are
+    b, to their pairs, and the skipped edges as (key, k) in search order.
+
+    Every generator acts on every element: sigmas[k - 1] is sigma_k's move
+    on a key and eps_pi epspi's, None in pure mode.  The pairs of a key
+    in walked are taken from there; a step runs only for the others.
+    """
+    seen, skipped, frontier = {start: b}, [], [start]
+    while frontier:
+        nxt = []
+        for key in frontier:
+            b = seen[key]
+            for k, move in enumerate(sigmas, 1):
+                if not b[k][0]:  # only a sigma divides
+                    skipped.append((key, k))
+                    continue
+                img = move(key)
+                if img not in seen:
+                    seen[img] = walked.get(img) or _sigma_pairs(
+                        b, k, diffs[key[k - 1]][key[k]], pool)
+                    nxt.append(img)
+            if eps_pi is not None:
+                img = eps_pi(key)
+                if img not in seen:
+                    seen[img] = walked.get(img) or _eps_pi_pairs(b, pool)
+                    nxt.append(img)
+        frontier = nxt
+    return seen, skipped
 
 
 SkippedEdge = namedtuple("SkippedEdge", "source generator detail")
@@ -236,76 +263,73 @@ def orbit(e: Expansion, pure: bool = False) -> OrbitResult:
     The key determines the element because the alpha-fraction of a fixed
     phi over a fixed shift order is unique.
 
-    The orbit is first walked by plain changes (_walk): one sigma step per
-    new shift order, and on branch 1 one epspi step from e, then the same
-    walk from the reversed order.  Only where a zero pivot may cut an edge,
-    that is when the pool holds 0, a breadth-first search from e redoes the
-    closure, with every generator on every element: sigma_k swaps ranks
-    k and k + 1 and epspi reverses the ranks and swaps the branch pair,
-    each as one operator.itemgetter.  It takes the pairs of each element
-    the walk made and runs a step only for the others, and records the
-    skipped edges in its own order.
+    sigma_k's move on a key swaps ranks k and k + 1, and epspi's reverses
+    the ranks and swaps the branch pair, each built once as an
+    operator.itemgetter.  The orbit is first walked by plain changes
+    (_walk) of the m ranks the sigmas permute: one sigma step per new
+    shift order of branch 0 from e, then, when epspi flips the branch
+    (flip: a nonzero half-trace outside pure mode), one epspi step from e
+    and the same walk of branch 1.  A breadth-first search from e
+    (_search) redoes the closure exactly when the walk holds fewer than
+    (1 + flip) * m! keys, and takes the pairs of each element the walk
+    made.  That count is exact:
+    (i) The paper's step gives b_k = (alpha_{k+1} - alpha_k) /
+    (phi_{k-1}(alpha_{k+1}) - phi_{k-1}(alpha_k)), so b_k = 0 exactly
+    when phi_{k-1} has a pole at alpha_{k+1}: the shift order with alpha_k
+    and alpha_{k+1} swapped then has no expansion on that branch.  So a
+    branch with a zero pivot lacks a shift order, and its walk, which
+    visits all m! orders unless a step meets a zero pivot, stops.
+    (ii) epspi is defined everywhere and conjugates sigma_k to
+    sigma_{N-k}, with b_k -> -b_k, so it takes branch 0 onto branch 1:
+    branch 1 is complete exactly when branch 0 is, and is walked only
+    then.
+    So the search runs exactly when the orbit is incomplete, and it alone
+    records the skipped edges, in its own order.
 
     The orbit holds each element as the reduced integer pairs of its
     b_0, ..., b_N, made by _sigma_pairs or _eps_pi_pairs once per key, so
-    an orbit of m elements takes m - 1 steps, walked or searched.  The
-    generic orbit's 2 * N! elements hold few distinct values, so the pairs
-    are interned in one pool per call and equal values share one pair.
-    Then each pooled pair becomes one Fraction, and each element is built
-    once, in canonical order, over one AlphaSequence per shift order,
-    shared by its two branches.  Ranks order like the shifts, so canonical
-    order is the sorted keys, with the two branches of one shift order
-    then put in (b_0, block) order.
+    an orbit takes one step fewer than it has elements, walked or
+    searched.  The generic orbit's 2 * N! elements hold few distinct
+    values, so the pairs are interned in one pool per call and equal
+    values share one pair.  Then each pooled pair becomes one Fraction,
+    and each element is built once, in canonical order, over one
+    AlphaSequence per shift order, shared by its two branches.  Ranks
+    order like the shifts, so canonical order is the sorted keys, with the
+    two branches of one shift order then put in (b_0, block) order.
     """
     if not isinstance(pure, bool):
         raise TypeError("pure must be a bool, got %.40r" % (pure,))
     if pure and not e.is_pure:
         raise NotPure("pure orbit requested for a non-pure expansion")
     n = e.n
+    m = n - 1 if pure else n
     flip = not pure and bool(expansion_to_triple(e)[1])
     shifts = sorted(e.alpha.alphas)
     rank = {a: i for i, a in enumerate(shifts)}
     # alpha_j - alpha_i by the ranks i and j, as pairs.
     diffs = [[_pair(c - a) for c in shifts] for a in shifts]
     start = tuple(rank[a] for a in e.alpha.alphas) + (0, 1)
+    # Sigmas by index, then epspi, as in parse_word.  A key has N + 2 >= 3
+    # entries, so every getter returns a tuple.
+    places = list(range(n + 2))
+    sigmas = []
+    for k in range(1, m):
+        swap = places[:]
+        swap[k - 1:k + 1] = k, k - 1
+        sigmas.append(itemgetter(*swap))
+    eps_pi = None if pure else itemgetter(
+        *places[n - 1::-1], *((n + 1, n) if flip else (n, n + 1)))
     pool = {}
     b = _pairs(e, pool)
-    seen = walked = _walk(start, b, n - 1 if pure else n, flip, diffs, pool)
+    seq = _plain_changes(m)
+    seen = walked = _walk(start, b, seq, sigmas, diffs, pool)
+    if flip and len(walked) == len(seq) + 1:
+        walked.update(_walk(eps_pi(start), _eps_pi_pairs(b, pool), seq,
+                            sigmas, diffs, pool))
     skipped = []
-    # Every pair is pooled, so a zero pivot anywhere, where the walk
-    # stopped or not, leaves (0, 1) in the pool.
-    if (0, 1) in pool:
-        # Sigmas by index, then epspi, as in parse_word.  A key has
-        # N + 2 >= 3 entries, so every getter returns a tuple.
-        places = list(range(n + 2))
-        sigmas = []
-        for k in range(1, n - 1 if pure else n):
-            swap = places[:]
-            swap[k - 1:k + 1] = k, k - 1
-            sigmas.append((k, itemgetter(*swap)))
-        eps_pi = None if pure else itemgetter(
-            *places[n - 1::-1], *((n + 1, n) if flip else (n, n + 1)))
-        seen = {start: b}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for key in frontier:
-                b = seen[key]
-                for k, move in sigmas:
-                    if not b[k][0]:  # only a sigma divides
-                        skipped.append((key, k))
-                        continue
-                    img = move(key)
-                    if img not in seen:
-                        seen[img] = walked.get(img) or _sigma_pairs(
-                            b, k, diffs[key[k - 1]][key[k]], pool)
-                        nxt.append(img)
-                if eps_pi is not None:
-                    img = eps_pi(key)
-                    if img not in seen:
-                        seen[img] = walked.get(img) or _eps_pi_pairs(b, pool)
-                        nxt.append(img)
-            frontier = nxt
+    if len(walked) < (1 + flip) * (len(seq) + 1):
+        seen, skipped = _search(start, b, sigmas, eps_pi, walked, diffs,
+                                pool)
     for p in pool:
         pool[p] = Fraction(*p)
     value = pool.__getitem__

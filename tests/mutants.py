@@ -300,31 +300,51 @@ MUTANTS = [
       "tests/test_symmetry.py::TestWord"
       "::test_word_is_the_fold_of_the_generators"]),
     # A walk stopped at a zero pivot then stands for the whole orbit.
-    ("orbit uses the walk despite a 0 in the pool", SYMMETRY,
-     "    if (0, 1) in pool:\n",
+    ("the search never runs", SYMMETRY,
+     "    if len(walked) < (1 + flip) * (len(seq) + 1):\n",
      "    if False:\n",
+     ["tests/test_symmetry.py::TestOrbit::test_zero_pivot_edges_reported",
+      "tests/test_symmetry.py::TestOrbitWalk"
+      "::test_search_runs_exactly_on_incomplete_orbits"]),
+    # The records stay right, so only the spies see the wasted search.
+    ("the search always runs", SYMMETRY,
+     "    if len(walked) < (1 + flip) * (len(seq) + 1):\n",
+     "    if True:\n",
      ["tests/test_symmetry.py::TestOrbitWalk"
-      "::test_zero_in_the_pool_runs_the_search",
-      "tests/test_symmetry.py::TestOrbit::test_zero_pivot_edges_reported"]),
+      "::test_zero_in_the_pool_runs_no_search"]),
+    # A complete orbit of half-trace 0 has m! keys, so it is searched.
+    ("the walk's count ignores whether the branch flips", SYMMETRY,
+     "(1 + flip) * (len(seq) + 1)",
+     "2 * (len(seq) + 1)",
+     ["tests/test_symmetry.py::TestOrbitWalk"
+      "::test_search_runs_exactly_on_incomplete_orbits"]),
+    # Equivalent in its records: the search takes what that walk made.
+    ("branch 1 is walked after branch 0 stopped", SYMMETRY,
+     "    if flip and len(walked) == len(seq) + 1:\n",
+     "    if flip:\n",
+     ["tests/test_symmetry.py::TestOrbitWalk"
+      "::test_search_runs_exactly_on_incomplete_orbits"]),
     ("the search steps to a sigma image the walk made", SYMMETRY,
      "walked.get(img) or _sigma_pairs(",
      "_sigma_pairs(",
      ["tests/test_symmetry.py::TestOrbitCallsTheGenerators"
       "::test_one_generator_call_per_new_element"]),
+    # A searched orbit with a flip walked branch 0 alone, so only a test
+    # that hands the search branch 1 too sees the extra epspi step.
     ("the search steps to an epspi image the walk made", SYMMETRY,
      "walked.get(img) or _eps_pi_pairs(b, pool)",
      "_eps_pi_pairs(b, pool)",
-     ["tests/test_symmetry.py::TestOrbitCallsTheGenerators"
-      "::test_one_generator_call_per_new_element"]),
+     ["tests/test_symmetry.py::TestOrbitWalk"
+      "::test_the_search_takes_every_walked_element"]),
     ("a plain-changes sweep stops one swap short", SYMMETRY,
      "down, up = range(j - 1, 0, -1), range(1, j)",
      "down, up = range(j - 1, 1, -1), range(1, j)",
      ["tests/test_symmetry.py::TestOrbitWalk"
       "::test_plain_changes_visit_every_order_once",
       "tests/test_symmetry.py::TestOrbit::test_generic_orbit_size"]),
-    ("the walk's branch 1 starts from the unreversed order", SYMMETRY,
-     "key = [*start[-3::-1], 1, 0]",
-     "key = [*start[:-2], 1, 0]",
+    ("the walk of branch 1 starts from e's key", SYMMETRY,
+     "_walk(eps_pi(start),",
+     "_walk(start,",
      ["tests/test_symmetry.py::TestOrbit"
       "::test_sect4_orbit_is_golden_table"]),
     ("triple equality skips the last field", EXPANSION,

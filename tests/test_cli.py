@@ -212,6 +212,17 @@ class TestOtherCommands:
             "error": "MalformedInput",
             "detail": "expected a sequence, got the text 'epspi'"}
 
+    @pytest.mark.parametrize("word, kind", [("5", "int 5"),
+                                            ("null", "NoneType None"),
+                                            ("1.5", "float 1.5")])
+    def test_act_non_iterable_word(self, word, kind):
+        # A JSON scalar gets the sequence rule's text, not "not iterable".
+        code, out, err = run(["act", "--word", word], SECT4_EXPANSION_JSON)
+        assert (code, out) == (2, None)
+        assert json.loads(err) == {
+            "error": "MalformedInput",
+            "detail": "expected a sequence, got the %s" % kind}
+
     def test_orbit(self):
         code, out, _ = run(["orbit"], SECT4_EXPANSION_JSON)
         assert code == 0

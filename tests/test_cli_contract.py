@@ -53,6 +53,8 @@ GOLDEN = [
     (["example", "--name", "sect4"], None),
 ]
 IDS = [" ".join(argv[:2]) for argv, _ in GOLDEN]
+# The argv of the subcommands that read input.
+READERS = [argv for argv, payload in GOLDEN if payload is not None]
 
 # Values put in place of a payload node or an option's value.
 JUNK = [None, True, 1.5, 0, 7, -3, 10 ** 30, "", "x", "0", "-1", "5/2",
@@ -149,6 +151,19 @@ def test_golden_payload_succeeds(argv, payload):
     code, out, err = run_cli(argv, json.dumps(payload))
     assert (code, err) == (0, "")
     json.loads(out)
+
+
+@pytest.mark.parametrize("argv", READERS,
+                         ids=[" ".join(argv[:2]) for argv in READERS])
+@pytest.mark.parametrize("top", [[], None, "x", 5])
+def test_input_must_be_an_object(argv, top):
+    # Every subcommand that reads input takes an object; any other
+    # top-level value is refused before a field is read.
+    code, out, err = run_cli(argv, json.dumps(top))
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "MalformedInput",
+        "detail": "input must be a JSON object, got %.40r" % (top,)}
 
 
 @pytest.mark.parametrize("argv, payload", GOLDEN, ids=IDS)

@@ -467,13 +467,15 @@ class TestRationalGrammar:
         with pytest.raises(TypeError):
             jacobi_from_divisor([text("12")], P("3", "0", "0", "1"))
 
-    @pytest.mark.parametrize("name, kind", [("dict", dict.fromkeys),
-                                            ("set", set),
-                                            ("frozenset", frozenset)])
+    @pytest.mark.parametrize("name, kind", [
+        ("dict", dict.fromkeys), ("set", set), ("frozenset", frozenset),
+        ("int", len),
+        pytest.param("NoneType", lambda xs: None, id="NoneType-none")])
     def test_unordered_is_not_a_sequence(self, name, kind):
         # A dict is read by its keys, and a set's order changes with
         # PYTHONHASHSEED: Polynomial({"1/2", "3", "-7"}) was a different
-        # polynomial under each seed.
+        # polynomial under each seed.  What cannot be iterated at all gets
+        # the same text, not the interpreter's "not iterable".
         def refused(fn, xs):
             with pytest.raises(TypeError) as info:
                 fn(kind(xs))

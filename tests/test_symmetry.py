@@ -592,35 +592,126 @@ class TestOrbitWalk:
         # The walk must change no byte, the skipped edges' order included.
         want = [canonical_dumps(orbit_to_json(r)) for r in corpus_orbits()]
 
-        def stopped_at_once(start, b, m, flip, diffs, pool):
-            # A walk that met a zero pivot before its first step: nothing
-            # walked and 0 pooled, so the search makes every element.
+        def stopped_at_once(key, b, seq, sigmas, diffs, pool):
+            # A walk that walked nothing, with 0 pooled as a zero pivot
+            # would leave it: short of every key, so the search makes
+            # every element.
             pool.setdefault((0, 1), (0, 1))
             return {}
         monkeypatch.setattr(symmetry, "_walk", stopped_at_once)
         assert [canonical_dumps(orbit_to_json(r))
                 for r in corpus_orbits()] == want
 
-    def test_zero_in_the_pool_runs_the_search(self, monkeypatch):
-        # b_0 = 0 is no pivot: the walk visits all 12 keys, yet the pool
-        # holds 0, so the search runs and takes each of the 11 images it
-        # reaches from the walk.
+    def test_the_search_takes_every_walked_element(self, monkeypatch):
+        # Whichever generator reaches an element the walk made, a sigma or
+        # epspi, the search takes its pairs from the walk: handed every
+        # element of an incomplete orbit, it runs no step.
+        search, made, steps = symmetry._search, {}, []
+
+        def keep(*args):
+            seen, skipped = search(*args)
+            made.update(seen)
+            return seen, skipped
+        monkeypatch.setattr(symmetry, "_search", keep)
+
+        def handed_all(key, b, seq, sigmas, diffs, pool):
+            for pairs in every.values():
+                for p in pairs:
+                    pool.setdefault(p, p)
+            return dict(every)
+        searched = 0
+        for e, pure in orbit_corpus(47, 60):
+            made.clear()
+            want = orbit(e, pure=pure)
+            if want.complete:
+                continue
+            every = dict(made)
+            with monkeypatch.context() as patch:
+                patch.setattr(symmetry, "_walk", handed_all)
+                for name in ("_sigma_pairs", "_eps_pi_pairs"):
+                    real = getattr(symmetry, name)
+                    patch.setattr(
+                        symmetry, name,
+                        lambda *args, _real=real: steps.append(1)
+                        or _real(*args))
+                got = orbit(e, pure=pure)
+            assert steps == []
+            assert canonical_dumps(orbit_to_json(got)) == \
+                canonical_dumps(orbit_to_json(want))
+            searched += 1
+        assert searched >= 10
+
+    def test_zero_in_the_pool_runs_no_search(self, monkeypatch):
+        # b_0 = 0 is no pivot: the walk visits all 12 keys, so the orbit
+        # is complete and the search does not run, though 0 is pooled.
         e = make_expansion(0, [2, F(5, 2), 2], [F(-5, 3), -4, -3])
-        lookups = []
+        lookups, searches = [], []
 
         class Walked(dict):
             def get(self, key):
                 lookups.append(key)
                 return dict.get(self, key)
-        real = symmetry._walk
+        walk, search = symmetry._walk, symmetry._search
         monkeypatch.setattr(symmetry, "_walk",
-                            lambda *args: Walked(real(*args)))
+                            lambda *args: Walked(walk(*args)))
+        monkeypatch.setattr(symmetry, "_search",
+                            lambda *args: searches.append(1) or search(*args))
         got = orbit(e)
         assert got.complete and len(got.expansions) == 12
-        assert len(set(lookups)) == len(lookups) == 11
+        assert lookups == searches == []
         want, _ = value_keyed_orbit(e)
         assert canonical_dumps(orbit_to_json(got)) == \
             canonical_dumps(orbit_to_json(want))
+
+    def test_search_runs_exactly_on_incomplete_orbits(self, monkeypatch):
+        # The walk's count is the whole guard: an orbit is searched exactly
+        # when one of its elements has a zero pivot, which is exactly when
+        # it has a skipped edge, 0 pooled or not; and a walk of branch 1,
+        # which starts only after branch 0 was walked whole, never stops.
+        walks, searches = [], []
+        walk, search = symmetry._walk, symmetry._search
+
+        def spy_walk(key, b, seq, *rest):
+            walked = walk(key, b, seq, *rest)
+            walks.append((key[-2], len(walked) == len(seq) + 1))
+            return walked
+        monkeypatch.setattr(symmetry, "_walk", spy_walk)
+        monkeypatch.setattr(symmetry, "_search",
+                            lambda *args: searches.append(1) or search(*args))
+
+        def draws():
+            rng = random.Random(61)
+            for _ in range(1000):
+                n = 7 if rng.random() < 0.03 else rng.choice([1, 3, 3, 5, 5])
+                pure = n >= 3 and rng.random() < 0.3
+                share = rng.choice([0.03, 0.1, 0.2, 0.4])
+                yield seeded_expansion(rng, n, share, pure), pure
+            rng = random.Random(67)
+            for n in (1, 3, 3, 5, 5, 5):
+                for e in zero_trace_expansions(rng, n):
+                    yield e, False
+
+        tally = {True: 0, False: 0}
+        sizes, branch_1, zero_pooled = set(), 0, 0
+        for e, pure in draws():
+            result = orbit(e, pure=pure)
+            m = e.n - 1 if pure else e.n
+            zero_pivot = any(not x.block[k - 1] for x in result.expansions
+                             for k in range(1, m))
+            searched = bool(searches)
+            assert searched == zero_pivot == bool(result.skipped_edges)
+            tally[searched] += 1
+            zero_pooled += not searched and any(
+                not b for x in result.expansions for b in (x.b0, *x.block))
+            sizes.add((e.n, pure))
+            assert all(whole for branch, whole in walks if branch)
+            branch_1 += sum(branch for branch, _ in walks)
+            walks.clear()
+            searches.clear()
+        assert min(tally.values()) >= 300
+        assert branch_1 >= 300 and zero_pooled >= 100
+        assert {(n, pure) for n in (3, 5, 7) for pure in (False, True)} \
+            <= sizes
 
     def test_a_skipped_edge_leaves_its_image_out(self):
         # Where b_k = 0, sigma_k's image has no alpha-fraction: the peel of
