@@ -12,9 +12,8 @@ _eps_pi_pairs.  All three generator entry points, apply_sigma,
 apply_eps_pi and apply_word, validate their arguments and run the one walk
 _act, which converts the expansion to pairs once, applies each letter's
 step and builds one image at the end.  orbit runs the steps on the pairs
-of its whole orbit: a walk by plain changes, one adjacent swap per new
-element, and a breadth-first search exactly when the walk finds the orbit
-incomplete, cut by a zero pivot; either way an orbit of m elements takes
+of its whole orbit, by one breadth-first search over the numbered shift
+orders of _moves and the two branches, so an orbit of m elements takes
 m - 1 steps.  Group images skip re-validation: they are built through the
 unchecked AlphaSequence._from_checked and Expansion._from_checked.  That
 is sound because an image comes from an expansion the public constructors
@@ -31,8 +30,9 @@ unchecked ones.
 import re
 from collections import namedtuple
 from fractions import Fraction
+from functools import cache
+from itertools import permutations
 from math import gcd
-from operator import itemgetter
 
 from .errors import NotPure, ZeroPivot
 from .expansion import AlphaSequence, Expansion, expansion_to_triple
@@ -84,13 +84,26 @@ def _sigma_pairs(b: tuple, k: int, diff: tuple, pool: dict) -> tuple:
     return tuple(b)
 
 
-def _eps_pi_pairs(b: tuple, pool: dict) -> tuple:
-    """epspi on the pairs b of b_0, ..., b_N.
+class _Negated(dict):
+    """A pooled pair -> its negation, taken from pool on first use."""
+
+    def __init__(self, pool: dict):
+        super().__init__()
+        self.pool = pool
+
+    def __missing__(self, p: tuple) -> tuple:
+        q = -p[0], p[1]
+        q = self[p] = self.pool.setdefault(q, q)
+        return q
+
+
+def _eps_pi_pairs(b: tuple, neg: _Negated) -> tuple:
+    """epspi on the pooled pairs b of b_0, ..., b_N, negated through neg.
 
     b~_0 = b_0 - b_N, b~_j = -b_{N-j} for 1 <= j <= N-1, b~_N = -b_N.
     """
-    neg = [pool.setdefault(p, p) for p in [(-n, d) for n, d in b[:0:-1]]]
-    return (_plus(b[0], *neg[0], pool), *neg[1:], neg[0])
+    t = list(map(neg.__getitem__, b[:0:-1]))
+    return (_plus(b[0], *t[0], neg.pool), *t[1:], t[0])
 
 
 def _act(e: Expansion, letters) -> Expansion:
@@ -107,7 +120,7 @@ def _act(e: Expansion, letters) -> Expansion:
     alphas = e.alpha.alphas
     for i, k in enumerate(letters):
         if k is None:
-            b = _eps_pi_pairs(b, pool)
+            b = _eps_pi_pairs(b, _Negated(pool))
             alphas = alphas[::-1]
         elif b[k][0]:
             alphas = (alphas[:k - 1] + (alphas[k], alphas[k - 1])
@@ -176,73 +189,19 @@ def apply_word(e: Expansion, letters) -> Expansion:
     return _act(e, parse_word(letters, e.n))
 
 
-def _plain_changes(m: int) -> list:
-    """The sigma indices k (1 <= k <= m - 1) of the plain-changes order of
-    m positions: m! - 1 adjacent swaps that visit every order once.
-
-    The last element sweeps down and up across all m positions, and each
-    turn takes one step of the order of the other m - 1, shifted by one
-    after a downward sweep (Johnson 1963; Knuth, TAOCP 4A, Algorithm P).
+@cache
+def _moves(m: int) -> tuple:
+    """The m! orders of m ranks, numbered lexicographically, and the moves
+    of the generators on those numbers: a list per sigma_k (1 <= k <= m -
+    1), which swaps positions k - 1 and k, and one for the reversal.  Each
+    list maps an order's number to its image's.  Built once per m and kept
+    for the life of the process: orbit's only state between calls.
     """
-    seq = []
-    for j in range(2, m + 1):
-        down, up = range(j - 1, 0, -1), range(1, j)
-        out = list(down)
-        for i, k in enumerate(seq):
-            out.append(k if i % 2 else k + 1)
-            out += down if i % 2 else up
-        seq = out
-    return seq
-
-
-def _walk(key: tuple, b: tuple, seq: list, sigmas: list, diffs: list,
-          pool: dict) -> dict:
-    """One branch of orbit's keys, walked from key, whose pairs are b, by
-    the sigma indices seq of plain changes, to their pairs.
-
-    sigmas[k - 1] is sigma_k's move on a key.  The walk stops at the first
-    zero pivot and returns what it has.
-    """
-    walked = {key: b}
-    for k in seq:
-        if not b[k][0]:
-            break
-        b = _sigma_pairs(b, k, diffs[key[k - 1]][key[k]], pool)
-        key = sigmas[k - 1](key)
-        walked[key] = b
-    return walked
-
-
-def _search(start: tuple, b: tuple, sigmas: list, eps_pi, walked: dict,
-            diffs: list, pool: dict) -> tuple:
-    """orbit's keys by a breadth-first search from start, whose pairs are
-    b, to their pairs, and the skipped edges as (key, k) in search order.
-
-    Every generator acts on every element: sigmas[k - 1] is sigma_k's move
-    on a key and eps_pi epspi's, None in pure mode.  The pairs of a key
-    in walked are taken from there; a step runs only for the others.
-    """
-    seen, skipped, frontier = {start: b}, [], [start]
-    while frontier:
-        nxt = []
-        for key in frontier:
-            b = seen[key]
-            for k, move in enumerate(sigmas, 1):
-                if not b[k][0]:  # only a sigma divides
-                    skipped.append((key, k))
-                    continue
-                img = move(key)
-                if img not in seen:
-                    seen[img] = walked.get(img) or _sigma_pairs(
-                        b, k, diffs[key[k - 1]][key[k]], pool)
-                    nxt.append(img)
-            if eps_pi is not None:
-                img = eps_pi(key)
-                if img not in seen:
-                    seen[img] = walked.get(img) or _eps_pi_pairs(b, pool)
-                    nxt.append(img)
-        frontier = nxt
-    return seen, skipped
+    orders = list(permutations(range(m)))
+    number = {order: i for i, order in enumerate(orders)}
+    sigmas = [[number[o[:k - 1] + (o[k], o[k - 1]) + o[k + 1:]]
+               for o in orders] for k in range(1, m)]
+    return orders, sigmas, [number[o[::-1]] for o in orders]
 
 
 SkippedEdge = namedtuple("SkippedEdge", "source generator detail")
@@ -256,100 +215,92 @@ def orbit(e: Expansion, pure: bool = False) -> OrbitResult:
     Zero-pivot edges are recorded and skipped, not fatal.  Expansions come
     back in canonical order: lexicographic on (alpha order, b_0, block).
 
-    Each element is keyed by its shift order and branch.  A key is one
-    flat tuple of N + 2 small ints: the ranks of the shifts, then
-    (branch, 1 - branch).  The branch is the parity of the epspi steps,
-    kept at 0 when the half-trace is 0 as both branches then coincide.
-    The key determines the element because the alpha-fraction of a fixed
-    phi over a fixed shift order is unique.
-
-    sigma_k's move on a key swaps ranks k and k + 1, and epspi's reverses
-    the ranks and swaps the branch pair, each built once as an
-    operator.itemgetter.  The orbit is first walked by plain changes
-    (_walk) of the m ranks the sigmas permute: one sigma step per new
-    shift order of branch 0 from e, then, when epspi flips the branch
-    (flip: a nonzero half-trace outside pure mode), one epspi step from e
-    and the same walk of branch 1.  A breadth-first search from e
-    (_search) redoes the closure exactly when the walk holds fewer than
-    (1 + flip) * m! keys, and takes the pairs of each element the walk
-    made.  That count is exact:
-    (i) The paper's step gives b_k = (alpha_{k+1} - alpha_k) /
-    (phi_{k-1}(alpha_{k+1}) - phi_{k-1}(alpha_k)), so b_k = 0 exactly
-    when phi_{k-1} has a pole at alpha_{k+1}: the shift order with alpha_k
-    and alpha_{k+1} swapped then has no expansion on that branch.  So a
-    branch with a zero pivot lacks a shift order, and its walk, which
-    visits all m! orders unless a step meets a zero pivot, stops.
-    (ii) epspi is defined everywhere and conjugates sigma_k to
-    sigma_{N-k}, with b_k -> -b_k, so it takes branch 0 onto branch 1:
-    branch 1 is complete exactly when branch 0 is, and is walked only
-    then.
-    So the search runs exactly when the orbit is incomplete, and it alone
-    records the skipped edges, in its own order.
+    An element is determined by its shift order and branch, because the
+    alpha-fraction of a fixed phi over a fixed shift order is unique.  The
+    sigmas permute the first m shifts (m = N, or N - 1 in pure mode); each
+    order of their ranks has its number in _moves(m), and an element is
+    the node 2 * number + branch.  The branch is the parity of the epspi
+    steps, kept at 0 when the half-trace is 0 as both branches then
+    coincide.  orbit runs one breadth-first search from e over the nodes:
+    sigma_1 .. sigma_{m-1}, then epspi, as in parse_word, act on every
+    element, by their moves in _moves(m).  A zero pivot leaves a shift
+    order out: the paper's step gives b_k = (alpha_{k+1} - alpha_k) /
+    (phi_{k-1}(alpha_{k+1}) - phi_{k-1}(alpha_k)), so b_k = 0 exactly when
+    phi_{k-1} has a pole at alpha_{k+1}, and the shift order with alpha_k
+    and alpha_{k+1} swapped then has no expansion on that branch.  The
+    skipped edges are recorded in search order.
 
     The orbit holds each element as the reduced integer pairs of its
-    b_0, ..., b_N, made by _sigma_pairs or _eps_pi_pairs once per key, so
-    an orbit takes one step fewer than it has elements, walked or
-    searched.  The generic orbit's 2 * N! elements hold few distinct
-    values, so the pairs are interned in one pool per call and equal
-    values share one pair.  Then each pooled pair becomes one Fraction,
-    and each element is built once, in canonical order, over one
-    AlphaSequence per shift order, shared by its two branches.  Ranks
-    order like the shifts, so canonical order is the sorted keys, with the
-    two branches of one shift order then put in (b_0, block) order.
+    b_0, ..., b_N, made by _sigma_pairs or _eps_pi_pairs once per node,
+    so an orbit takes one step fewer than it has elements.  The generic
+    orbit's 2 * N! elements hold few distinct values, so the pairs are
+    interned in one pool per call and equal values share one pair.  Then
+    each pooled pair becomes one Fraction, and each element is built once,
+    in canonical order, over one AlphaSequence per shift order, shared by
+    its two branches.  Ranks order like the shifts, so canonical order is
+    the order of the numbers, with the two branches of one shift order in
+    (b_0, block) order.
     """
     if not isinstance(pure, bool):
         raise TypeError("pure must be a bool, got %.40r" % (pure,))
     if pure and not e.is_pure:
         raise NotPure("pure orbit requested for a non-pure expansion")
-    n = e.n
-    m = n - 1 if pure else n
+    m = e.n - 1 if pure else e.n
     flip = not pure and bool(expansion_to_triple(e)[1])
-    shifts = sorted(e.alpha.alphas)
+    shifts, tail = sorted(e.alpha.alphas[:m]), e.alpha.alphas[m:]
     rank = {a: i for i, a in enumerate(shifts)}
     # alpha_j - alpha_i by the ranks i and j, as pairs.
     diffs = [[_pair(c - a) for c in shifts] for a in shifts]
-    start = tuple(rank[a] for a in e.alpha.alphas) + (0, 1)
-    # Sigmas by index, then epspi, as in parse_word.  A key has N + 2 >= 3
-    # entries, so every getter returns a tuple.
-    places = list(range(n + 2))
-    sigmas = []
-    for k in range(1, m):
-        swap = places[:]
-        swap[k - 1:k + 1] = k, k - 1
-        sigmas.append(itemgetter(*swap))
-    eps_pi = None if pure else itemgetter(
-        *places[n - 1::-1], *((n + 1, n) if flip else (n, n + 1)))
+    orders, sigmas, rev = _moves(m)
     pool = {}
-    b = _pairs(e, pool)
-    seq = _plain_changes(m)
-    seen = walked = _walk(start, b, seq, sigmas, diffs, pool)
-    if flip and len(walked) == len(seq) + 1:
-        walked.update(_walk(eps_pi(start), _eps_pi_pairs(b, pool), seq,
-                            sigmas, diffs, pool))
-    skipped = []
-    if len(walked) < (1 + flip) * (len(seq) + 1):
-        seen, skipped = _search(start, b, sigmas, eps_pi, walked, diffs,
-                                pool)
+    neg = _Negated(pool)
+    start = 2 * orders.index(tuple([rank[a] for a in e.alpha.alphas[:m]]))
+    made = [None] * (2 * len(orders))
+    made[start] = _pairs(e, pool)
+    skipped, frontier = [], [start]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            i, branch, b = node >> 1, node & 1, made[node]
+            order = orders[i]
+            for k, move in enumerate(sigmas, 1):
+                if not b[k][0]:  # only a sigma divides
+                    skipped.append((node, k))
+                    continue
+                img = 2 * move[i] + branch
+                if made[img] is None:
+                    made[img] = _sigma_pairs(
+                        b, k, diffs[order[k - 1]][order[k]], pool)
+                    nxt.append(img)
+            if not pure:
+                img = 2 * rev[i] + (branch ^ flip)
+                if made[img] is None:
+                    made[img] = _eps_pi_pairs(b, neg)
+                    nxt.append(img)
+        frontier = nxt
     for p in pool:
         pool[p] = Fraction(*p)
     value = pool.__getitem__
-    ordered, last = [], None
-    for key in sorted(seen):
-        order, b = key[:n], seen[key]
-        at = len(ordered)
-        if order != last:
-            alpha = AlphaSequence._from_checked(
-                tuple([shifts[i] for i in order]))
-        else:
-            # Branch 1 follows branch 0 of its shift order, and goes first
-            # if its (b_0, block) is smaller: compare the first b_i at
-            # which the two differ, as n/d < n'/d' with d, d' > 0.
-            p, q = next(pq for pq in zip(b, last_b) if pq[0] != pq[1])
-            at -= p[0] * q[1] < q[0] * p[1]
-        v = tuple(map(value, b))
-        seen[key] = x = Expansion._from_checked(v[0], v[1:], alpha)
-        ordered.insert(at, x)
-        last, last_b = order, b
+    ordered = []
+    for i, order in enumerate(orders):
+        nodes = 2 * i, 2 * i + 1
+        b, c = made[2 * i], made[2 * i + 1]
+        if b and c:
+            # Branch 1 goes first if its (b_0, block) is smaller: compare
+            # the first b_i at which the two differ, as n/d < n'/d' with
+            # d, d' > 0.
+            p, q = next(pq for pq in zip(c, b) if pq[0] != pq[1])
+            if p[0] * q[1] < q[0] * p[1]:
+                nodes = nodes[::-1]
+        elif not (b or c):
+            continue
+        alpha = AlphaSequence._from_checked(
+            tuple([shifts[r] for r in order]) + tail)
+        for node in nodes:
+            if made[node]:
+                v = tuple(map(value, made[node]))
+                made[node] = x = Expansion._from_checked(v[0], v[1:], alpha)
+                ordered.append(x)
     return OrbitResult(tuple(ordered), not skipped, tuple(
-        SkippedEdge(seen[key], "sigma:%d" % k, _undefined(k))
-        for key, k in skipped))
+        SkippedEdge(made[node], "sigma:%d" % k, _undefined(k))
+        for node, k in skipped))

@@ -203,12 +203,12 @@ MUTANTS = [
      "        b[k + 1] = _plus(b[k + 1], -n, d, pool)\n",
      ["tests/test_symmetry.py::TestSigma::test_sigma1"]),
     ("the epspi step with b~_0 = b_0 + b_N", SYMMETRY,
-     "_plus(b[0], *neg[0], pool)",
-     "_plus(b[0], *b[-1], pool)",
+     "_plus(b[0], *t[0], neg.pool)",
+     "_plus(b[0], *b[-1], neg.pool)",
      ["tests/test_symmetry.py::TestEpsPi::test_sect4"]),
     ("the epspi step keeps the sign of the block", SYMMETRY,
-     "[(-n, d) for n, d in b[:0:-1]]",
-     "[(n, d) for n, d in b[:0:-1]]",
+     "        q = -p[0], p[1]\n",
+     "        q = p[0], p[1]\n",
      ["tests/test_symmetry.py::TestEpsPi::test_sect4"]),
     # Each value is still right, as Fraction(n, d) reduces it, but equal
     # values no longer share one pair, so orbit makes a Fraction for each.
@@ -218,8 +218,8 @@ MUTANTS = [
      ["tests/test_symmetry.py::TestOrbitPool"
       "::test_each_value_is_one_fraction"]),
     ("orbit skips the pool", SYMMETRY,
-     "v = tuple(map(value, b))",
-     "v = tuple([Fraction(*p) for p in b])",
+     "v = tuple(map(value, made[node]))",
+     "v = tuple([Fraction(*p) for p in made[node]])",
      ["tests/test_symmetry.py::TestOrbitPool"
       "::test_each_value_is_one_fraction"]),
     ("orbit never flips the branch", SYMMETRY,
@@ -228,8 +228,8 @@ MUTANTS = [
      ["tests/test_symmetry.py::TestOrbit"
       "::test_sect4_orbit_is_golden_table"]),
     ("orbit's pair swap with >", SYMMETRY,
-     "            at -= p[0] * q[1] < q[0] * p[1]\n",
-     "            at -= p[0] * q[1] > q[0] * p[1]\n",
+     "            if p[0] * q[1] < q[0] * p[1]:\n",
+     "            if p[0] * q[1] > q[0] * p[1]:\n",
      ["tests/test_symmetry.py::TestOrbit::test_canonical_order",
       "tests/test_cli.py::TestOtherCommands"
       "::test_orbit_matches_golden_bytes"]),
@@ -299,54 +299,75 @@ MUTANTS = [
      ["tests/test_symmetry.py::TestSigma::test_zero_pivot",
       "tests/test_symmetry.py::TestWord"
       "::test_word_is_the_fold_of_the_generators"]),
-    # A walk stopped at a zero pivot then stands for the whole orbit.
-    ("the search never runs", SYMMETRY,
-     "    if len(walked) < (1 + flip) * (len(seq) + 1):\n",
-     "    if False:\n",
-     ["tests/test_symmetry.py::TestOrbit::test_zero_pivot_edges_reported",
-      "tests/test_symmetry.py::TestOrbitWalk"
-      "::test_search_runs_exactly_on_incomplete_orbits"]),
-    # The records stay right, so only the spies see the wasted search.
-    ("the search always runs", SYMMETRY,
-     "    if len(walked) < (1 + flip) * (len(seq) + 1):\n",
-     "    if True:\n",
+    # The last move becomes the identity, so sigma_(m-1) maps an element
+    # onto itself and its pairs never reach the orbit.
+    ("sigma_k's move swaps positions k and k + 1", SYMMETRY,
+     "number[o[:k - 1] + (o[k], o[k - 1]) + o[k + 1:]]",
+     "number[o[:k] + o[k + 1:k + 2] + o[k:k + 1] + o[k + 2:]]",
      ["tests/test_symmetry.py::TestOrbitWalk"
-      "::test_zero_in_the_pool_runs_no_search"]),
-    # A complete orbit of half-trace 0 has m! keys, so it is searched.
-    ("the walk's count ignores whether the branch flips", SYMMETRY,
-     "(1 + flip) * (len(seq) + 1)",
-     "2 * (len(seq) + 1)",
+      "::test_moves_number_the_orders_lexicographically",
+      "tests/test_symmetry.py::TestOrbit"
+      "::test_sect4_orbit_is_golden_table"]),
+    ("the reversal move is the identity", SYMMETRY,
+     "[number[o[::-1]] for o in orders]",
+     "list(range(len(orders)))",
      ["tests/test_symmetry.py::TestOrbitWalk"
-      "::test_search_runs_exactly_on_incomplete_orbits"]),
-    # Equivalent in its records: the search takes what that walk made.
-    ("branch 1 is walked after branch 0 stopped", SYMMETRY,
-     "    if flip and len(walked) == len(seq) + 1:\n",
-     "    if flip:\n",
+      "::test_moves_number_the_orders_lexicographically",
+      "tests/test_symmetry.py::TestOrbit"
+      "::test_sect4_orbit_is_golden_table"]),
+    ("the move tables are built per call", SYMMETRY,
+     "@cache\n",
+     "",
      ["tests/test_symmetry.py::TestOrbitWalk"
-      "::test_search_runs_exactly_on_incomplete_orbits"]),
-    ("the search steps to a sigma image the walk made", SYMMETRY,
-     "walked.get(img) or _sigma_pairs(",
-     "_sigma_pairs(",
-     ["tests/test_symmetry.py::TestOrbitCallsTheGenerators"
-      "::test_one_generator_call_per_new_element"]),
-    # A searched orbit with a flip walked branch 0 alone, so only a test
-    # that hands the search branch 1 too sees the extra epspi step.
-    ("the search steps to an epspi image the walk made", SYMMETRY,
-     "walked.get(img) or _eps_pi_pairs(b, pool)",
-     "_eps_pi_pairs(b, pool)",
-     ["tests/test_symmetry.py::TestOrbitWalk"
-      "::test_the_search_takes_every_walked_element"]),
-    ("a plain-changes sweep stops one swap short", SYMMETRY,
-     "down, up = range(j - 1, 0, -1), range(1, j)",
-     "down, up = range(j - 1, 1, -1), range(1, j)",
-     ["tests/test_symmetry.py::TestOrbitWalk"
-      "::test_plain_changes_visit_every_order_once",
-      "tests/test_symmetry.py::TestOrbit::test_generic_orbit_size"]),
-    ("the walk of branch 1 starts from e's key", SYMMETRY,
-     "_walk(eps_pi(start),",
-     "_walk(start,",
+      "::test_a_second_orbit_of_the_same_m_builds_no_table"]),
+    ("epspi keeps the branch", SYMMETRY,
+     "(branch ^ flip)",
+     "branch",
      ["tests/test_symmetry.py::TestOrbit"
       "::test_sect4_orbit_is_golden_table"]),
+    # The two branches of a half-trace-0 orbit are one expansion.
+    ("epspi always flips the branch", SYMMETRY,
+     "(branch ^ flip)",
+     "(branch ^ 1)",
+     ["tests/test_symmetry.py::TestOrbitAgainstValueKeyedBFS"
+      "::test_zero_half_trace"]),
+    ("the sigma step's diff is read from the swapped order", SYMMETRY,
+     "diffs[order[k - 1]][order[k]]",
+     "diffs[order[k]][order[k - 1]]",
+     ["tests/test_symmetry.py::TestOrbit"
+      "::test_sect4_orbit_is_golden_table"]),
+    # At N = 3 every epspi image is a sigma image made first.
+    ("epspi runs in pure mode", SYMMETRY,
+     "            if not pure:\n",
+     "            if True:\n",
+     ["tests/test_symmetry.py::TestOrbitAgainstValueKeyedBFS"
+      "::test_pure_n7"]),
+    ("a skipped edge names sigma_(k+1)", SYMMETRY,
+     "skipped.append((node, k))",
+     "skipped.append((node, k + 1))",
+     ["tests/test_symmetry.py::TestOrbitAgainstValueKeyedBFS"
+      "::test_seeded_corpus",
+      "tests/test_cli.py::TestOtherCommands"
+      "::test_orbit_matches_golden_bytes"]),
+    ("the build never swaps the branches", SYMMETRY,
+     "                nodes = nodes[::-1]\n",
+     "                pass\n",
+     ["tests/test_symmetry.py::TestOrbit::test_canonical_order",
+      "tests/test_cli.py::TestOtherCommands"
+      "::test_complete_orbit_matches_golden_bytes"]),
+    # Only an incomplete orbit has a shift order on branch 1 alone.
+    ("the build drops a shift order without branch 0", SYMMETRY,
+     "        elif not (b or c):\n",
+     "        elif not b:\n",
+     ["tests/test_symmetry.py::TestOrbitAgainstValueKeyedBFS"
+      "::test_seeded_corpus",
+      "tests/test_cli.py::TestOtherCommands"
+      "::test_orbit_matches_golden_bytes"]),
+    # The memo holds the negation, so only a pair's first use is wrong.
+    ("the negation memo returns the pair unnegated on a miss", SYMMETRY,
+     "        return q\n",
+     "        return p\n",
+     ["tests/test_symmetry.py::TestEpsPi::test_sect4"]),
     ("triple equality skips the last field", EXPANSION,
      "        return self._fields() == other._fields()\n",
      "        return self._fields()[:-1] == other._fields()[:-1]\n",

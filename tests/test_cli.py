@@ -25,7 +25,7 @@ from conftest import (
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
-# The six golden requests, golden name -> (argv, stdin payload or None).
+# The seven golden requests, golden name -> (argv, stdin payload or None).
 GOLDENS = {
     **{name: (["example", "--name", name], None) for name in EXAMPLE_NAMES},
     # N = 5 with zero b_i: 168 elements, 72 skipped edges, and pairs of one
@@ -34,6 +34,12 @@ GOLDENS = {
     "orbit-n5": (["orbit"], {
         "b0": "1/2", "block": ["0", "-1", "4", "-1", "-2"],
         "alpha": ["1", "3", "2", "-4", "-1"]}),
+    # A complete N = 5 orbit: 240 elements, no skipped edge, a b_i of 0
+    # that is never a pivot, and 48 of 120 shift orders whose branch-1
+    # element sorts first.
+    "orbit-n5-complete": (["orbit"], {
+        "b0": "3", "block": ["1", "5/2", "-3/2", "-3/2", "2"],
+        "alpha": ["5", "-3", "-1", "2", "-4"]}),
     # B + 1: passing texts for A, C and the determinant, a failing B.
     "verify-sect4": (["verify"], {
         "expansion": SECT4_EXPANSION_JSON,
@@ -231,6 +237,9 @@ class TestOtherCommands:
 
     def test_orbit_matches_golden_bytes(self):
         check_golden("orbit-n5")
+
+    def test_complete_orbit_matches_golden_bytes(self):
+        check_golden("orbit-n5-complete")
 
     def test_orbit_pure_rejects_non_pure(self):
         code, _, err = run(["orbit", "--pure"], SECT4_EXPANSION_JSON)

@@ -559,7 +559,7 @@ class TestOrbitCallsTheGenerators:
     def test_one_generator_call_per_new_element(self, monkeypatch):
         # Every image comes from the module-level pair step of sigma or
         # epspi, the formulas apply_sigma and apply_eps_pi also run, and
-        # only for a key not seen before: the start is the one element
+        # only for a node not seen before: the start is the one element
         # not made by a step.
         calls = []
         for name in ("_sigma_pairs", "_eps_pi_pairs"):
@@ -577,108 +577,44 @@ class TestOrbitCallsTheGenerators:
 
 class TestOrbitWalk:
     @pytest.mark.parametrize("m", range(8))
-    def test_plain_changes_visit_every_order_once(self, m):
-        seq = symmetry._plain_changes(m)
-        assert len(seq) == max(math.factorial(m) - 1, 0)
-        assert all(1 <= k <= m - 1 for k in seq)
-        order = list(range(m))
-        orders = {tuple(order)}
-        for k in seq:
-            order[k - 1], order[k] = order[k], order[k - 1]
-            orders.add(tuple(order))
-        assert len(orders) == math.factorial(m)
+    def test_moves_number_the_orders_lexicographically(self, m):
+        orders, sigmas, rev = symmetry._moves(m)
+        assert orders == sorted(itertools.permutations(range(m)))
+        assert len(set(orders)) == math.factorial(m)
+        assert len(sigmas) == max(m - 1, 0)
+        for k, move in enumerate(sigmas, 1):
+            for order, image in zip(orders, move):
+                swapped = list(order)
+                swapped[k - 1], swapped[k] = swapped[k], swapped[k - 1]
+                assert orders[image] == tuple(swapped)
+        assert [orders[image] for image in rev] == [o[::-1] for o in orders]
+        for move in (*sigmas, rev):
+            assert [move[image] for image in move] == list(range(len(orders)))
 
-    def test_search_alone_gives_the_same_records(self, monkeypatch):
-        # The walk must change no byte, the skipped edges' order included.
-        want = [canonical_dumps(orbit_to_json(r)) for r in corpus_orbits()]
+    def test_a_second_orbit_of_the_same_m_builds_no_table(self):
+        # The tables of m are built once per process.
+        rng = random.Random(71)
+        orbit(seeded_expansion(rng, 5, 0))
+        tables, built = symmetry._moves(5), symmetry._moves.cache_info().misses
+        orbit(seeded_expansion(rng, 5, 0.2))
+        assert symmetry._moves.cache_info().misses == built
+        assert symmetry._moves(5) is tables
 
-        def stopped_at_once(key, b, seq, sigmas, diffs, pool):
-            # A walk that walked nothing, with 0 pooled as a zero pivot
-            # would leave it: short of every key, so the search makes
-            # every element.
-            pool.setdefault((0, 1), (0, 1))
-            return {}
-        monkeypatch.setattr(symmetry, "_walk", stopped_at_once)
-        assert [canonical_dumps(orbit_to_json(r))
-                for r in corpus_orbits()] == want
-
-    def test_the_search_takes_every_walked_element(self, monkeypatch):
-        # Whichever generator reaches an element the walk made, a sigma or
-        # epspi, the search takes its pairs from the walk: handed every
-        # element of an incomplete orbit, it runs no step.
-        search, made, steps = symmetry._search, {}, []
-
-        def keep(*args):
-            seen, skipped = search(*args)
-            made.update(seen)
-            return seen, skipped
-        monkeypatch.setattr(symmetry, "_search", keep)
-
-        def handed_all(key, b, seq, sigmas, diffs, pool):
-            for pairs in every.values():
-                for p in pairs:
-                    pool.setdefault(p, p)
-            return dict(every)
-        searched = 0
-        for e, pure in orbit_corpus(47, 60):
-            made.clear()
-            want = orbit(e, pure=pure)
-            if want.complete:
-                continue
-            every = dict(made)
-            with monkeypatch.context() as patch:
-                patch.setattr(symmetry, "_walk", handed_all)
-                for name in ("_sigma_pairs", "_eps_pi_pairs"):
-                    real = getattr(symmetry, name)
-                    patch.setattr(
-                        symmetry, name,
-                        lambda *args, _real=real: steps.append(1)
-                        or _real(*args))
-                got = orbit(e, pure=pure)
-            assert steps == []
-            assert canonical_dumps(orbit_to_json(got)) == \
-                canonical_dumps(orbit_to_json(want))
-            searched += 1
-        assert searched >= 10
-
-    def test_zero_in_the_pool_runs_no_search(self, monkeypatch):
-        # b_0 = 0 is no pivot: the walk visits all 12 keys, so the orbit
-        # is complete and the search does not run, though 0 is pooled.
+    def test_zero_in_the_pool_runs_no_search(self):
+        # b_0 = 0 is no pivot: the orbit skips no edge and has all 12
+        # elements, though 0 is pooled.
         e = make_expansion(0, [2, F(5, 2), 2], [F(-5, 3), -4, -3])
-        lookups, searches = [], []
-
-        class Walked(dict):
-            def get(self, key):
-                lookups.append(key)
-                return dict.get(self, key)
-        walk, search = symmetry._walk, symmetry._search
-        monkeypatch.setattr(symmetry, "_walk",
-                            lambda *args: Walked(walk(*args)))
-        monkeypatch.setattr(symmetry, "_search",
-                            lambda *args: searches.append(1) or search(*args))
         got = orbit(e)
         assert got.complete and len(got.expansions) == 12
-        assert lookups == searches == []
         want, _ = value_keyed_orbit(e)
         assert canonical_dumps(orbit_to_json(got)) == \
             canonical_dumps(orbit_to_json(want))
 
-    def test_search_runs_exactly_on_incomplete_orbits(self, monkeypatch):
-        # The walk's count is the whole guard: an orbit is searched exactly
-        # when one of its elements has a zero pivot, which is exactly when
-        # it has a skipped edge, 0 pooled or not; and a walk of branch 1,
-        # which starts only after branch 0 was walked whole, never stops.
-        walks, searches = [], []
-        walk, search = symmetry._walk, symmetry._search
-
-        def spy_walk(key, b, seq, *rest):
-            walked = walk(key, b, seq, *rest)
-            walks.append((key[-2], len(walked) == len(seq) + 1))
-            return walked
-        monkeypatch.setattr(symmetry, "_walk", spy_walk)
-        monkeypatch.setattr(symmetry, "_search",
-                            lambda *args: searches.append(1) or search(*args))
-
+    def test_search_runs_exactly_on_incomplete_orbits(self):
+        # An orbit is incomplete exactly when one of its elements has a
+        # zero pivot, which is exactly when it has a skipped edge, 0 pooled
+        # or not; a complete orbit has every shift order on each of its
+        # 1 + flip branches.
         def draws():
             rng = random.Random(61)
             for _ in range(1000):
@@ -692,32 +628,32 @@ class TestOrbitWalk:
                     yield e, False
 
         tally = {True: 0, False: 0}
-        sizes, branch_1, zero_pooled = set(), 0, 0
+        sizes, flipped, zero_pooled = set(), 0, 0
         for e, pure in draws():
             result = orbit(e, pure=pure)
             m = e.n - 1 if pure else e.n
             zero_pivot = any(not x.block[k - 1] for x in result.expansions
                              for k in range(1, m))
-            searched = bool(searches)
-            assert searched == zero_pivot == bool(result.skipped_edges)
-            tally[searched] += 1
-            zero_pooled += not searched and any(
-                not b for x in result.expansions for b in (x.b0, *x.block))
+            assert result.complete != zero_pivot
+            assert result.complete != bool(result.skipped_edges)
+            if result.complete:
+                flip = not pure and bool(expansion_to_triple(e)[1])
+                assert len(result.expansions) == \
+                    (1 + flip) * math.factorial(m)
+                flipped += flip
+                zero_pooled += any(not b for x in result.expansions
+                                   for b in (x.b0, *x.block))
+            tally[result.complete] += 1
             sizes.add((e.n, pure))
-            assert all(whole for branch, whole in walks if branch)
-            branch_1 += sum(branch for branch, _ in walks)
-            walks.clear()
-            searches.clear()
         assert min(tally.values()) >= 300
-        assert branch_1 >= 300 and zero_pooled >= 100
+        assert flipped >= 300 and zero_pooled >= 100
         assert {(n, pure) for n in (3, 5, 7) for pure in (False, True)} \
             <= sizes
 
     def test_a_skipped_edge_leaves_its_image_out(self):
         # Where b_k = 0, sigma_k's image has no alpha-fraction: the peel of
         # the same triple and half-trace over the swapped shifts fails.  So
-        # an orbit with a skipped edge misses a key, and a walk that visits
-        # every key meets no zero pivot.
+        # an orbit with a skipped edge misses an element.
         edges = 0
         for result in corpus_orbits():
             for edge in result.skipped_edges:
