@@ -84,26 +84,20 @@ def _sigma_pairs(b: tuple, k: int, diff: tuple, pool: dict) -> tuple:
     return tuple(b)
 
 
-class _Negated(dict):
-    """A pooled pair -> its negation, taken from pool on first use."""
+def _eps_pi_pairs(b: tuple, pool: dict) -> tuple:
+    """epspi on the pairs b of b_0, ..., b_N, returned negated.
 
-    def __init__(self, pool: dict):
-        super().__init__()
-        self.pool = pool
-
-    def __missing__(self, p: tuple) -> tuple:
-        q = -p[0], p[1]
-        q = self[p] = self.pool.setdefault(q, q)
-        return q
-
-
-def _eps_pi_pairs(b: tuple, neg: _Negated) -> tuple:
-    """epspi on the pooled pairs b of b_0, ..., b_N, negated through neg.
-
-    b~_0 = b_0 - b_N, b~_j = -b_{N-j} for 1 <= j <= N-1, b~_N = -b_N.
+    epspi maps b to b~: b~_0 = b_0 - b_N, b~_j = -b_{N-j} for 1 <= j <=
+    N-1, b~_N = -b_N.  This step returns the pairs of -b~, which are
+    b_N - b_0, b_{N-1}, ..., b_1, b_N: one sum and a reversal, and no
+    negation.  Applied twice it gives b back, pair for pair: it is an
+    exact involution on pairs.  It is odd in b, and so is every sigma_k,
+    as delta = diff / b_k changes sign with b.  So a walk may hold an
+    element as the pairs of -b and negate it once, at the end: each epspi
+    step flips the sign it is held with, and no sigma step changes it.
     """
-    t = list(map(neg.__getitem__, b[:0:-1]))
-    return (_plus(b[0], *t[0], neg.pool), *t[1:], t[0])
+    n, d = b[0]
+    return (_plus(b[-1], -n, d, pool), *b[-2:0:-1], b[-1])
 
 
 def _act(e: Expansion, letters) -> Expansion:
@@ -112,15 +106,19 @@ def _act(e: Expansion, letters) -> Expansion:
 
     e's b_0, ..., b_N become reduced pairs once, in one pool; each letter
     runs its pair step and permutes the shifts alongside, and the image is
-    built once, at the end.  A zero pivot at letter i (from 0) raises
-    ZeroPivot naming step i.
+    built once, at the end.  Every sigma_k is odd in b, and the epspi step
+    returns the pairs of -b~, so the walk holds the image's pairs times
+    sign = (-1)^(epspi letters so far) and multiplies them by sign at the
+    end.  A zero pivot at letter i (from 0) raises ZeroPivot naming step i.
     """
     pool = {}
     b = _pairs(e, pool)
     alphas = e.alpha.alphas
+    sign = 1
     for i, k in enumerate(letters):
         if k is None:
-            b = _eps_pi_pairs(b, _Negated(pool))
+            b = _eps_pi_pairs(b, pool)
+            sign = -sign
             alphas = alphas[::-1]
         elif b[k][0]:
             alphas = (alphas[:k - 1] + (alphas[k], alphas[k - 1])
@@ -129,9 +127,9 @@ def _act(e: Expansion, letters) -> Expansion:
             b = _sigma_pairs(b, k, _pair(alphas[k - 1] - alphas[k]), pool)
         else:
             raise ZeroPivot("step %d: %s" % (i, _undefined(k)))
+    v = [Fraction(sign * n, d) for n, d in b]
     return Expansion._from_checked(
-        Fraction(*b[0]), tuple([Fraction(*p) for p in b[1:]]),
-        AlphaSequence._from_checked(alphas))
+        v[0], tuple(v[1:]), AlphaSequence._from_checked(alphas))
 
 
 def apply_sigma(e: Expansion, k: int) -> Expansion:
@@ -232,14 +230,19 @@ def orbit(e: Expansion, pure: bool = False) -> OrbitResult:
 
     The orbit holds each element as the reduced integer pairs of its
     b_0, ..., b_N, made by _sigma_pairs or _eps_pi_pairs once per node,
-    so an orbit takes one step fewer than it has elements.  The generic
+    so an orbit takes one step fewer than it has elements.  It holds an
+    element of branch 1 as the pairs of -b.  That is sound because every
+    sigma_k is odd in b, so a sigma step keeps the sign an element is held
+    with, and the epspi step, an exact involution on pairs, returns the
+    pairs of -b~ and so flips it.  Only when the half-trace is 0, and the
+    epspi image stays on branch 0, is it negated back.  The generic
     orbit's 2 * N! elements hold few distinct values, so the pairs are
     interned in one pool per call and equal values share one pair.  Then
     each pooled pair becomes one Fraction, and each element is built once,
     in canonical order, over one AlphaSequence per shift order, shared by
-    its two branches.  Ranks order like the shifts, so canonical order is
-    the order of the numbers, with the two branches of one shift order in
-    (b_0, block) order.
+    its two branches; branch 1 is read negated.  Ranks order like the
+    shifts, so canonical order is the order of the numbers, with the two
+    branches of one shift order in (b_0, block) order.
     """
     if not isinstance(pure, bool):
         raise TypeError("pure must be a bool, got %.40r" % (pure,))
@@ -253,7 +256,6 @@ def orbit(e: Expansion, pure: bool = False) -> OrbitResult:
     diffs = [[_pair(c - a) for c in shifts] for a in shifts]
     orders, sigmas, rev = _moves(m)
     pool = {}
-    neg = _Negated(pool)
     start = 2 * orders.index(tuple([rank[a] for a in e.alpha.alphas[:m]]))
     made = [None] * (2 * len(orders))
     made[start] = _pairs(e, pool)
@@ -275,22 +277,33 @@ def orbit(e: Expansion, pure: bool = False) -> OrbitResult:
             if not pure:
                 img = 2 * rev[i] + (branch ^ flip)
                 if made[img] is None:
-                    made[img] = _eps_pi_pairs(b, neg)
+                    made[img] = c = _eps_pi_pairs(b, pool)
+                    if not flip:  # one branch, held as b~, not -b~
+                        made[img] = tuple([pool.setdefault(q, q)
+                                           for q in [(-n, d) for n, d in c]])
                     nxt.append(img)
         frontier = nxt
     for p in pool:
         pool[p] = Fraction(*p)
-    value = pool.__getitem__
+    # Branch 1, which only a flipping orbit has, holds -b: its view
+    # negates, through the pooled Fraction of the negation where there is
+    # one, so each value stays one object.  Fraction(0) is false, so
+    # membership is tested.
+    negated = {p: pool[q] if q in pool else -x
+               for p, x in (pool.items() if flip else ())
+               for q in [(-p[0], p[1])]}
+    views = pool.__getitem__, negated.__getitem__
     ordered = []
     for i, order in enumerate(orders):
         nodes = 2 * i, 2 * i + 1
         b, c = made[2 * i], made[2 * i + 1]
         if b and c:
             # Branch 1 goes first if its (b_0, block) is smaller: compare
-            # the first b_i at which the two differ, as n/d < n'/d' with
-            # d, d' > 0.
-            p, q = next(pq for pq in zip(c, b) if pq[0] != pq[1])
-            if p[0] * q[1] < q[0] * p[1]:
+            # the first b_i at which the two differ, reading branch 1's
+            # pair (n, d) as -n/d, as -n/d < n'/d' with d, d' > 0.
+            p, q = next(pq for pq in zip(c, b)
+                        if pq[0] != (-pq[1][0], pq[1][1]))
+            if -p[0] * q[1] < q[0] * p[1]:
                 nodes = nodes[::-1]
         elif not (b or c):
             continue
@@ -298,7 +311,7 @@ def orbit(e: Expansion, pure: bool = False) -> OrbitResult:
             tuple([shifts[r] for r in order]) + tail)
         for node in nodes:
             if made[node]:
-                v = tuple(map(value, made[node]))
+                v = tuple(map(views[node & 1], made[node]))
                 made[node] = x = Expansion._from_checked(v[0], v[1:], alpha)
                 ordered.append(x)
     return OrbitResult(tuple(ordered), not skipped, tuple(

@@ -202,14 +202,23 @@ MUTANTS = [
      "    if k != len(b) - 3:\n"
      "        b[k + 1] = _plus(b[k + 1], -n, d, pool)\n",
      ["tests/test_symmetry.py::TestSigma::test_sigma1"]),
-    ("the epspi step with b~_0 = b_0 + b_N", SYMMETRY,
-     "_plus(b[0], *t[0], neg.pool)",
-     "_plus(b[0], *b[-1], neg.pool)",
+    # The step returns -b~, so -b~_0 = b_N + b_0 means b~_0 = -b_0 - b_N.
+    ("the epspi step with b~_0 = -b_0 - b_N", SYMMETRY,
+     "_plus(b[-1], -n, d, pool)",
+     "_plus(b[-1], n, d, pool)",
      ["tests/test_symmetry.py::TestEpsPi::test_sect4"]),
-    ("the epspi step keeps the sign of the block", SYMMETRY,
-     "        q = -p[0], p[1]\n",
-     "        q = p[0], p[1]\n",
-     ["tests/test_symmetry.py::TestEpsPi::test_sect4"]),
+    ("the epspi step keeps b_1 .. b_(N-1) unreversed", SYMMETRY,
+     "*b[-2:0:-1]",
+     "*b[1:-1]",
+     ["tests/test_symmetry.py::TestEpsPi::test_sect4",
+      "tests/test_symmetry.py::TestHeldForm"
+      "::test_eps_pi_step_is_an_involution_on_pairs"]),
+    ("the walk drops the sign of its epspi letters", SYMMETRY,
+     "Fraction(sign * n, d)",
+     "Fraction(n, d)",
+     ["tests/test_symmetry.py::TestEpsPi::test_sect4",
+      "tests/test_symmetry.py::TestWord"
+      "::test_word_is_the_fold_of_the_generators"]),
     # Each value is still right, as Fraction(n, d) reduces it, but equal
     # values no longer share one pair, so orbit makes a Fraction for each.
     ("the pair step leaves its sum unreduced", SYMMETRY,
@@ -218,8 +227,8 @@ MUTANTS = [
      ["tests/test_symmetry.py::TestOrbitPool"
       "::test_each_value_is_one_fraction"]),
     ("orbit skips the pool", SYMMETRY,
-     "v = tuple(map(value, made[node]))",
-     "v = tuple([Fraction(*p) for p in made[node]])",
+     "v = tuple(map(views[node & 1], made[node]))",
+     "v = tuple([Fraction(x) for x in map(views[node & 1], made[node])])",
      ["tests/test_symmetry.py::TestOrbitPool"
       "::test_each_value_is_one_fraction"]),
     ("orbit never flips the branch", SYMMETRY,
@@ -228,11 +237,38 @@ MUTANTS = [
      ["tests/test_symmetry.py::TestOrbit"
       "::test_sect4_orbit_is_golden_table"]),
     ("orbit's pair swap with >", SYMMETRY,
-     "            if p[0] * q[1] < q[0] * p[1]:\n",
-     "            if p[0] * q[1] > q[0] * p[1]:\n",
+     "            if -p[0] * q[1] < q[0] * p[1]:\n",
+     "            if -p[0] * q[1] > q[0] * p[1]:\n",
      ["tests/test_symmetry.py::TestOrbit::test_canonical_order",
       "tests/test_cli.py::TestOtherCommands"
       "::test_orbit_matches_golden_bytes"]),
+    ("the branch compare forgets branch 1's sign", SYMMETRY,
+     "            if -p[0] * q[1] < q[0] * p[1]:\n",
+     "            if p[0] * q[1] < q[0] * p[1]:\n",
+     ["tests/test_symmetry.py::TestOrbit::test_canonical_order",
+      "tests/test_cli.py::TestOtherCommands"
+      "::test_orbit_matches_golden_bytes"]),
+    ("the branch compare finds the first unequal held pair", SYMMETRY,
+     "if pq[0] != (-pq[1][0], pq[1][1]))",
+     "if pq[0] != pq[1])",
+     ["tests/test_symmetry.py::TestOrbit::test_branches_with_opposite_b0"]),
+    # A held -b~ on branch 0 is read unnegated.
+    ("the half-trace-0 epspi image is left negated", SYMMETRY,
+     "                    if not flip:  # one branch, held as b~, not -b~\n",
+     "                    if False:\n",
+     ["tests/test_symmetry.py::TestOrbitAgainstValueKeyedBFS"
+      "::test_zero_half_trace"]),
+    ("the build reads branch 1 through branch 0's view", SYMMETRY,
+     "views[node & 1]",
+     "views[0]",
+     ["tests/test_symmetry.py::TestOrbit"
+      "::test_sect4_orbit_is_golden_table"]),
+    # Fraction(0) is false, so 0's view is a second Fraction(0).
+    ("the view tests the pooled negation by truth", SYMMETRY,
+     "pool[q] if q in pool else -x",
+     "pool.get(q) or -x",
+     ["tests/test_symmetry.py::TestOrbitPool"
+      "::test_each_value_is_one_fraction"]),
     ("jacobi_from_divisor without its u == 0 test", JACOBI,
      "        u = U(lam)\n        if u == 0:\n",
      "        u = U(lam)\n        if False:\n",
@@ -363,11 +399,6 @@ MUTANTS = [
       "::test_seeded_corpus",
       "tests/test_cli.py::TestOtherCommands"
       "::test_orbit_matches_golden_bytes"]),
-    # The memo holds the negation, so only a pair's first use is wrong.
-    ("the negation memo returns the pair unnegated on a miss", SYMMETRY,
-     "        return q\n",
-     "        return p\n",
-     ["tests/test_symmetry.py::TestEpsPi::test_sect4"]),
     ("triple equality skips the last field", EXPANSION,
      "        return self._fields() == other._fields()\n",
      "        return self._fields()[:-1] == other._fields()[:-1]\n",

@@ -226,6 +226,22 @@ class TestOrbit:
         keys = [e.key() for e in result.expansions]
         assert keys == sorted(keys)
 
+    def test_branches_with_opposite_b0(self):
+        # Branch 1 is held as -b, so where the two branches of a shift
+        # order have b_0 = -b_0' != 0 their held b_0 agree, though the
+        # values differ.  These orbits have such orders whose first block
+        # entries sort the other way, so only b_0 orders them right.
+        for e in (make_expansion(2, [1, 1, -6], [7, 4, -3]),
+                  make_expansion(F(4, 3), [-2, -2, F(5, 3)], [-1, 2, 0])):
+            result = orbit(e)
+            keys = [x.key() for x in result.expansions]
+            assert keys == sorted(keys)
+            pairs = [(x, y) for x, y in zip(result.expansions,
+                                              result.expansions[1:])
+                     if x.alpha == y.alpha]
+            assert any(x.b0 == -y.b0 != 0 and x.block[0] > y.block[0]
+                       for x, y in pairs)
+
     def test_generic_orbit_size(self):
         rng = random.Random(43)
         e = random_expansion(rng, 3)
@@ -669,15 +685,73 @@ class TestOrbitWalk:
         assert edges >= 250
 
 
+def seeded_pairs(rng, n, zero_share):
+    """Reduced pairs (numerator, denominator > 0) of a random b_0, ...,
+    b_N, each 0 with probability zero_share, taken from one pool."""
+    pool = {}
+    b = tuple([pool.setdefault(p, p) for p in [
+        (0, 1) if rng.random() < zero_share
+        else (x.numerator, x.denominator)
+        for x in [random_rational(rng, nonzero=True) for _ in range(n + 1)]]])
+    return b, pool
+
+
+def negated_pairs(b):
+    return tuple([(-n, d) for n, d in b])
+
+
+class TestHeldForm:
+    """orbit and the word walk hold an element as its pairs or as those of
+    -b; both pair steps must be compatible with that."""
+
+    def test_eps_pi_step_is_an_involution_on_pairs(self):
+        rng = random.Random(101)
+        zeros = 0
+        for n in (1, 3, 5, 7):
+            for _ in range(60):
+                b, pool = seeded_pairs(rng, n, 0.2)
+                once = symmetry._eps_pi_pairs(b, pool)
+                assert symmetry._eps_pi_pairs(once, pool) == b
+                # once holds -b~ of the paper's epspi.
+                want = reference_eps_pi(make_expansion(
+                    F(*b[0]), [F(*p) for p in b[1:]], range(n)))
+                assert [F(*p) for p in once] == \
+                    [-x for x in (want.b0, *want.block)]
+                zeros += (0, 1) in b
+        assert zeros >= 100
+
+    def test_sigma_step_commutes_with_negation(self):
+        rng = random.Random(103)
+        ks = set()
+        for n in (3, 5, 7):
+            for _ in range(60):
+                b, pool = seeded_pairs(rng, n, 0.2)
+                diff = random_rational(rng, nonzero=True).as_integer_ratio()
+                for k in range(1, n):
+                    if not b[k][0]:
+                        continue
+                    got = symmetry._sigma_pairs(
+                        negated_pairs(b), k, diff, pool)
+                    assert got == negated_pairs(
+                        symmetry._sigma_pairs(b, k, diff, pool))
+                    ks.add((n, k))
+        assert {(n, k) for n in (3, 5, 7) for k in (1, n - 1)} <= ks
+
+
 class TestOrbitPool:
-    @pytest.mark.parametrize("case", ["sect4", "seeded_n5"])
+    @pytest.mark.parametrize("case", ["sect4", "seeded_n5", "zero_n5"])
     def test_each_value_is_one_fraction(self, case):
         # orbit makes one Fraction per distinct value and one AlphaSequence
-        # per shift order, shared by the order's two branches.
+        # per shift order, shared by the order's two branches.  In zero_n5
+        # 0 is a value on both branches; branch 1 is held negated, and
+        # 0 = -0 must still be one Fraction.
         if case == "sect4":
             e = SECT4
-        else:
+        elif case == "seeded_n5":
             e = seeded_expansion(random.Random(99), 5, 0)
+        else:
+            e = make_expansion(F(-3, 2), [F(7, 4), -4, F(5, 3), -5, 0],
+                               [6, 8, 0, 5, 1])
         result = orbit(e)
         assert result.complete
         assert len(result.expansions) == 2 * math.factorial(e.n)
