@@ -25,7 +25,7 @@ from conftest import (
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
-# The seven golden requests, golden name -> (argv, stdin payload or None).
+# The nine golden requests, golden name -> (argv, stdin payload or None).
 GOLDENS = {
     **{name: (["example", "--name", name], None) for name in EXAMPLE_NAMES},
     # N = 5 with zero b_i: 168 elements, 72 skipped edges, and pairs of one
@@ -40,6 +40,16 @@ GOLDENS = {
     "orbit-n5-complete": (["orbit"], {
         "b0": "3", "block": ["1", "5/2", "-3/2", "-3/2", "2"],
         "alpha": ["5", "-3", "-1", "2", "-4"]}),
+    # A pure N = 5 orbit over rational shifts: 24 elements, one per order
+    # of the first four shifts, each b_4 read over alpha_N.
+    "orbit-n5-pure": (["orbit", "--pure"], {
+        "b0": "2/3", "block": ["5", "3/2", "-1", "-6", "2/3"],
+        "alpha": ["-7/3", "6", "-4/3", "2", "-5"]}),
+    # A complete N = 5 orbit of half-trace 0: its two branches are one
+    # expansion, so it has 120 elements, one per shift order.
+    "orbit-n5-zero-trace": (["orbit"], {
+        "b0": "13/30", "block": ["-10/3", "-39/40", "8/15", "15/8", "19/10"],
+        "alpha": ["-5", "1", "0", "5", "2"]}),
     # B + 1: passing texts for A, C and the determinant, a failing B.
     "verify-sect4": (["verify"], {
         "expansion": SECT4_EXPANSION_JSON,
@@ -240,6 +250,12 @@ class TestOtherCommands:
 
     def test_complete_orbit_matches_golden_bytes(self):
         check_golden("orbit-n5-complete")
+
+    def test_pure_orbit_matches_golden_bytes(self):
+        check_golden("orbit-n5-pure")
+
+    def test_zero_trace_orbit_matches_golden_bytes(self):
+        check_golden("orbit-n5-zero-trace")
 
     def test_orbit_pure_rejects_non_pure(self):
         code, _, err = run(["orbit", "--pure"], SECT4_EXPANSION_JSON)
