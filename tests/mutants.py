@@ -71,7 +71,7 @@ MUTANTS = [
      ["tests/test_jacobi.py::TestFromDivisor"
       "::test_newton_pass_matches_lagrange"]),
     ("orbit flips the branch without the half-trace test", SYMMETRY,
-     "flip = not pure and bool(expansion_to_triple(e)[1])",
+     "flip = not pure and bool(half_trace)",
      "flip = not pure",
      ["tests/test_symmetry.py::TestOrbitAgainstValueKeyedBFS"
       "::test_zero_half_trace"]),
@@ -219,33 +219,32 @@ MUTANTS = [
      ["tests/test_symmetry.py::TestEpsPi::test_sect4",
       "tests/test_symmetry.py::TestWord"
       "::test_word_is_the_fold_of_the_generators"]),
-    # Each value is still right, as Fraction(n, d) reduces it, but equal
-    # values no longer share one pair, so orbit makes a Fraction for each.
-    ("the pair step leaves its sum unreduced", SYMMETRY,
-     "    g = gcd(n, d)\n    q = n // g, d // g\n",
-     "    q = n, d\n",
-     ["tests/test_symmetry.py::TestOrbitPool"
-      "::test_each_value_is_one_fraction"]),
+    ("the pair step's sum with the cofactors swapped", SYMMETRY,
+     "_reduced(pn * d + n * pd, pd * d, pool)",
+     "_reduced(pn * pd + n * d, pd * d, pool)",
+     ["tests/test_symmetry.py::TestSigma::test_sigma1"]),
     ("orbit skips the pool", SYMMETRY,
      "v = tuple(map(views[node & 1], made[node]))",
      "v = tuple([Fraction(x) for x in map(views[node & 1], made[node])])",
      ["tests/test_symmetry.py::TestOrbitPool"
       "::test_each_value_is_one_fraction"]),
     ("orbit never flips the branch", SYMMETRY,
-     "flip = not pure and bool(expansion_to_triple(e)[1])",
+     "flip = not pure and bool(half_trace)",
      "flip = False",
      ["tests/test_symmetry.py::TestOrbit"
       "::test_sect4_orbit_is_golden_table"]),
     ("orbit's pair swap with >", SYMMETRY,
      "            if -p[0] * q[1] < q[0] * p[1]:\n",
      "            if -p[0] * q[1] > q[0] * p[1]:\n",
-     ["tests/test_symmetry.py::TestOrbit::test_canonical_order",
+     ["tests/test_symmetry.py::TestOrbitAgainstValueKeyedBFS"
+      "::test_seeded_corpus",
       "tests/test_cli.py::TestOtherCommands"
       "::test_orbit_matches_golden_bytes"]),
     ("the branch compare forgets branch 1's sign", SYMMETRY,
      "            if -p[0] * q[1] < q[0] * p[1]:\n",
      "            if p[0] * q[1] < q[0] * p[1]:\n",
-     ["tests/test_symmetry.py::TestOrbit::test_canonical_order",
+     ["tests/test_symmetry.py::TestOrbitAgainstValueKeyedBFS"
+      "::test_seeded_corpus",
       "tests/test_cli.py::TestOtherCommands"
       "::test_orbit_matches_golden_bytes"]),
     ("the branch compare finds the first unequal held pair", SYMMETRY,
@@ -261,12 +260,17 @@ MUTANTS = [
     ("the build reads branch 1 through branch 0's view", SYMMETRY,
      "views[node & 1]",
      "views[0]",
-     ["tests/test_symmetry.py::TestOrbit"
-      "::test_sect4_orbit_is_golden_table"]),
+     ["tests/test_symmetry.py::TestOrbitAgainstValueKeyedBFS"
+      "::test_seeded_corpus"]),
     # Fraction(0) is false, so 0's view is a second Fraction(0).
     ("the view tests the pooled negation by truth", SYMMETRY,
-     "pool[q] if q in pool else -x",
-     "pool.get(q) or -x",
+     "negated = {p: pool[q] if q in pool else -x\n",
+     "negated = {p: pool.get(q) or -x\n",
+     ["tests/test_symmetry.py::TestOrbitPool"
+      "::test_each_value_is_one_fraction"]),
+    ("the table's copy tests the pooled negation by truth", SYMMETRY,
+     "negated = {p: pool[q] if q in pool else -x for",
+     "negated = {p: pool.get(q) or -x for",
      ["tests/test_symmetry.py::TestOrbitPool"
       "::test_each_value_is_one_fraction"]),
     ("jacobi_from_divisor without its u == 0 test", JACOBI,
@@ -342,25 +346,25 @@ MUTANTS = [
      "number[o[:k] + o[k + 1:k + 2] + o[k:k + 1] + o[k + 2:]]",
      ["tests/test_symmetry.py::TestOrbitWalk"
       "::test_moves_number_the_orders_lexicographically",
-      "tests/test_symmetry.py::TestOrbit"
-      "::test_sect4_orbit_is_golden_table"]),
+      "tests/test_cli.py::TestOtherCommands"
+      "::test_orbit_matches_golden_bytes"]),
     ("the reversal move is the identity", SYMMETRY,
      "[number[o[::-1]] for o in orders]",
      "list(range(len(orders)))",
      ["tests/test_symmetry.py::TestOrbitWalk"
       "::test_moves_number_the_orders_lexicographically",
-      "tests/test_symmetry.py::TestOrbit"
-      "::test_sect4_orbit_is_golden_table"]),
+      "tests/test_cli.py::TestOtherCommands"
+      "::test_orbit_matches_golden_bytes"]),
     ("the move tables are built per call", SYMMETRY,
-     "@cache\n",
-     "",
+     "@cache\ndef _moves(",
+     "def _moves(",
      ["tests/test_symmetry.py::TestOrbitWalk"
       "::test_a_second_orbit_of_the_same_m_builds_no_table"]),
     ("epspi keeps the branch", SYMMETRY,
      "(branch ^ flip)",
      "branch",
-     ["tests/test_symmetry.py::TestOrbit"
-      "::test_sect4_orbit_is_golden_table"]),
+     ["tests/test_symmetry.py::TestOrbitAgainstValueKeyedBFS"
+      "::test_seeded_corpus"]),
     # The two branches of a half-trace-0 orbit are one expansion.
     ("epspi always flips the branch", SYMMETRY,
      "(branch ^ flip)",
@@ -370,8 +374,8 @@ MUTANTS = [
     ("the sigma step's diff is read from the swapped order", SYMMETRY,
      "diffs[order[k - 1]][order[k]]",
      "diffs[order[k]][order[k - 1]]",
-     ["tests/test_symmetry.py::TestOrbit"
-      "::test_sect4_orbit_is_golden_table"]),
+     ["tests/test_symmetry.py::TestOrbitAgainstValueKeyedBFS"
+      "::test_seeded_corpus"]),
     # At N = 3 every epspi image is a sigma image made first.
     ("epspi runs in pure mode", SYMMETRY,
      "            if not pure:\n",
@@ -388,9 +392,9 @@ MUTANTS = [
     ("the build never swaps the branches", SYMMETRY,
      "                nodes = nodes[::-1]\n",
      "                pass\n",
-     ["tests/test_symmetry.py::TestOrbit::test_canonical_order",
+     ["tests/test_symmetry.py::TestOrbit::test_branches_with_opposite_b0",
       "tests/test_cli.py::TestOtherCommands"
-      "::test_complete_orbit_matches_golden_bytes"]),
+      "::test_orbit_matches_golden_bytes"]),
     # Only an incomplete orbit has a shift order on branch 1 alone.
     ("the build drops a shift order without branch 0", SYMMETRY,
      "        elif not (b or c):\n",
@@ -399,6 +403,60 @@ MUTANTS = [
       "::test_seeded_corpus",
       "tests/test_cli.py::TestOtherCommands"
       "::test_orbit_matches_golden_bytes"]),
+    # The table of a complete orbit.
+    ("the fill program clears the lowest bit of the prefix mask", SYMMETRY,
+     "rest = mask ^ 1 << a",
+     "rest = mask & mask - 1",
+     ["tests/test_symmetry.py::TestOrbit::test_sect4_orbit_is_golden_table"]),
+    ("the table reads branch 1 without the complement", SYMMETRY,
+     "slot[full ^ s, d, a]",
+     "slot[s, a, d]",
+     ["tests/test_symmetry.py::TestOrbit::test_sect4_orbit_is_golden_table"]),
+    ("the table reads branch 1 unnegated", SYMMETRY,
+     "values += [negated[p] for p in vals]",
+     "values += list(map(pool.get, vals))",
+     ["tests/test_symmetry.py::TestOrbit::test_sect4_orbit_is_golden_table"]),
+    ("the table's branch order with the sign flipped", SYMMETRY,
+     "    first = [None if c == b else c < b\n",
+     "    first = [None if c == b else c > b\n",
+     ["tests/test_symmetry.py::TestOrbit::test_canonical_order",
+      "tests/test_cli.py::TestOtherCommands"
+      "::test_complete_orbit_matches_golden_bytes"]),
+    # A zero difference in a rank's column is a zero pivot of the peel.
+    ("the fill drops its zero-difference test", SYMMETRY,
+     "        elif pole:\n",
+     "        elif True:\n",
+     ["tests/test_symmetry.py::TestOrbitTable::test_table_equals_the_search"]),
+    ("the alpha_N column divides by the last rank's difference", SYMMETRY,
+     "a * ncol + d,",
+     "a * ncol + min(d, m - 1),",
+     ["tests/test_cli.py::TestOtherCommands"
+      "::test_pure_orbit_matches_golden_bytes"]),
+    ("the table's entries are built before the fill succeeds", SYMMETRY,
+     "    filled = _fill(*matrix, cols, m, pure)\n",
+     "    filled = _entries(m, pure) and _fill(*matrix, cols, m, pure)\n",
+     ["tests/test_symmetry.py::TestOrbitWalk"
+      "::test_an_incomplete_orbit_builds_no_entries"]),
+    ("the fill takes U where X vanishes from Y/X", SYMMETRY,
+     "                y, x = _ratio(W, Z, c)\n",
+     "                y, x = _ratio(Y, X, c)\n",
+     ["tests/test_symmetry.py::TestOrbitTable::test_table_equals_the_search"]),
+    # Each value is still right, as Fraction(n, d) reduces it, but equal
+    # values no longer share one pair, so orbit makes a Fraction for each.
+    ("a reduced pair is left unreduced", SYMMETRY,
+     "    if d < 0:\n        n, d = -n, -d\n    g = gcd(n, d)\n",
+     "    if d < 0:\n        n, d = -n, -d\n    g = 1\n",
+     ["tests/test_symmetry.py::TestOrbitPool"
+      "::test_each_value_is_one_fraction"]),
+    ("the plan is built per call", SYMMETRY,
+     "@cache\ndef _plan(",
+     "def _plan(",
+     ["tests/test_symmetry.py::TestOrbitWalk"
+      "::test_a_second_orbit_of_the_same_m_builds_no_table"]),
+    ("the table reads branch 1's b_0 from F", SYMMETRY,
+     "                                m + first,\n",
+     "                                first,\n",
+     ["tests/test_symmetry.py::TestOrbit::test_sect4_orbit_is_golden_table"]),
     ("triple equality skips the last field", EXPANSION,
      "        return self._fields() == other._fields()\n",
      "        return self._fields()[:-1] == other._fields()[:-1]\n",

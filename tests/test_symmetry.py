@@ -233,14 +233,15 @@ class TestOrbit:
         # entries sort the other way, so only b_0 orders them right.
         for e in (make_expansion(2, [1, 1, -6], [7, 4, -3]),
                   make_expansion(F(4, 3), [-2, -2, F(5, 3)], [-1, 2, 0])):
-            result = orbit(e)
-            keys = [x.key() for x in result.expansions]
-            assert keys == sorted(keys)
-            pairs = [(x, y) for x, y in zip(result.expansions,
-                                              result.expansions[1:])
-                     if x.alpha == y.alpha]
-            assert any(x.b0 == -y.b0 != 0 and x.block[0] > y.block[0]
-                       for x, y in pairs)
+            # The table and the search must both order them by b_0.
+            for result in (orbit(e), searched(e)):
+                keys = [x.key() for x in result.expansions]
+                assert keys == sorted(keys)
+                pairs = [(x, y) for x, y in zip(result.expansions,
+                                                  result.expansions[1:])
+                         if x.alpha == y.alpha]
+                assert any(x.b0 == -y.b0 != 0 and x.block[0] > y.block[0]
+                           for x, y in pairs)
 
     def test_generic_orbit_size(self):
         rng = random.Random(43)
@@ -571,24 +572,67 @@ class TestGeneratorsAgainstReference:
         assert elements >= 2500
 
 
+def searched(e, pure=False):
+    """orbit(e, pure) with its table refused, so by the search alone."""
+    real, symmetry._table = symmetry._table, lambda *args: None
+    try:
+        return orbit(e, pure=pure)
+    finally:
+        symmetry._table = real
+
+
+def spy(monkeypatch, *names):
+    """A list that gets one entry per call of each named module function."""
+    calls = []
+    for name in names:
+        real = getattr(symmetry, name)
+        monkeypatch.setattr(
+            symmetry, name,
+            lambda *args, _real=real: calls.append(1) or _real(*args))
+    return calls
+
+
 class TestOrbitCallsTheGenerators:
-    def test_one_generator_call_per_new_element(self, monkeypatch):
-        # Every image comes from the module-level pair step of sigma or
-        # epspi, the formulas apply_sigma and apply_eps_pi also run, and
-        # only for a node not seen before: the start is the one element
-        # not made by a step.
-        calls = []
-        for name in ("_sigma_pairs", "_eps_pi_pairs"):
-            real = getattr(symmetry, name)
-            monkeypatch.setattr(
-                symmetry, name,
-                lambda *args, _real=real: calls.append(1) or _real(*args))
+    def test_one_generator_call_per_new_element_of_an_incomplete_orbit(
+            self, monkeypatch):
+        # Every image the search makes comes from the module-level pair
+        # step of sigma or epspi, the formulas apply_sigma and apply_eps_pi
+        # also run, and only for a node not seen before: the start is the
+        # one element not made by a step.
+        calls = spy(monkeypatch, "_sigma_pairs", "_eps_pi_pairs")
         orbits = 0
         for result in corpus_orbits():
-            assert len(calls) == len(result.expansions) - 1
+            if not result.complete:
+                assert len(calls) == len(result.expansions) - 1
+                orbits += 1
             calls.clear()
-            orbits += 1
-        assert orbits >= 60
+        assert orbits >= 20
+
+    def test_one_computed_value_per_fill_entry_of_a_complete_orbit(
+            self, monkeypatch):
+        # A complete orbit takes no pair step: each value of its table is
+        # reduced once, at F, U, one step of the fill program or one b_N
+        # sum.
+        steps = spy(monkeypatch, "_sigma_pairs", "_eps_pi_pairs")
+        reduced = spy(monkeypatch, "_reduced")
+        rng = random.Random(107)
+        sizes = {}
+        for n, pure in ((3, False), (5, False), (5, True), (7, True),
+                        (7, False)):
+            e = seeded_expansion(rng, n, 0, pure)
+            while not orbit(e, pure=pure).complete:
+                e = seeded_expansion(rng, n, 0, pure)
+            steps.clear()
+            reduced.clear()
+            assert orbit(e, pure=pure).complete
+            m = n - 1 if pure else n
+            program, sums, _ = symmetry._plan(m, pure)
+            assert steps == []
+            assert len(reduced) == \
+                len(program) + len(sums) + (n if pure else 2 * n)
+            sizes[n, pure] = len(program)
+        assert (sizes[5, False], sizes[7, True], sizes[7, False]) == \
+            (160, 672, 1344)
 
 
 class TestOrbitWalk:
@@ -608,13 +652,34 @@ class TestOrbitWalk:
             assert [move[image] for image in move] == list(range(len(orders)))
 
     def test_a_second_orbit_of_the_same_m_builds_no_table(self):
-        # The tables of m are built once per process.
-        rng = random.Random(71)
-        orbit(seeded_expansion(rng, 5, 0))
-        tables, built = symmetry._moves(5), symmetry._moves.cache_info().misses
-        orbit(seeded_expansion(rng, 5, 0.2))
+        # The fill program and entries of (m, pure), and the move tables
+        # of m, are built once per process.
+        assert orbit(seeded_expansion(random.Random(99), 5, 0)).complete
+        plan, entries = symmetry._plan(5, False), symmetry._entries(5, False)
+        built = symmetry._plan.cache_info().misses, \
+            symmetry._entries.cache_info().misses
+        assert orbit(make_expansion(3, [1, F(5, 2), F(-3, 2), F(-3, 2), 2],
+                                    [5, -3, -1, 2, -4])).complete
+        assert (symmetry._plan.cache_info().misses,
+                symmetry._entries.cache_info().misses) == built
+        assert symmetry._plan(5, False) is plan
+        assert symmetry._entries(5, False) is entries
+        e = make_expansion(1, [0, 1, 2], [1, 3, 4])
+        assert not orbit(e).complete
+        tables, built = symmetry._moves(3), symmetry._moves.cache_info().misses
+        assert not orbit(e).complete
         assert symmetry._moves.cache_info().misses == built
-        assert symmetry._moves(5) is tables
+        assert symmetry._moves(3) is tables
+
+    def test_an_incomplete_orbit_builds_no_entries(self):
+        # Only a table that fills reads the m!-sized entries; an incomplete
+        # orbit builds the fill program alone.
+        e = seeded_expansion(random.Random(80), 7, 0.15)
+        before = symmetry._entries.cache_info()
+        result = orbit(e)
+        assert not result.complete
+        assert symmetry._entries.cache_info() == before
+        assert symmetry._plan(7, False)[0]
 
     def test_zero_in_the_pool_runs_no_search(self):
         # b_0 = 0 is no pivot: the orbit skips no edge and has all 12
@@ -739,22 +804,27 @@ class TestHeldForm:
 
 
 class TestOrbitPool:
-    @pytest.mark.parametrize("case", ["sect4", "seeded_n5", "zero_n5"])
+    @pytest.mark.parametrize("case", ["sect4", "seeded_n5", "zero_n5",
+                                      "incomplete_n5"])
     def test_each_value_is_one_fraction(self, case):
         # orbit makes one Fraction per distinct value and one AlphaSequence
         # per shift order, shared by the order's two branches.  In zero_n5
         # 0 is a value on both branches; branch 1 is held negated, and
-        # 0 = -0 must still be one Fraction.
+        # 0 = -0 must still be one Fraction.  incomplete_n5, the orbit of
+        # the orbit-n5 golden, has 0 on both branches and is searched.
         if case == "sect4":
             e = SECT4
         elif case == "seeded_n5":
             e = seeded_expansion(random.Random(99), 5, 0)
-        else:
+        elif case == "zero_n5":
             e = make_expansion(F(-3, 2), [F(7, 4), -4, F(5, 3), -5, 0],
                                [6, 8, 0, 5, 1])
+        else:
+            e = make_expansion(F(1, 2), [0, -1, 4, -1, -2], [1, 3, 2, -4, -1])
         result = orbit(e)
-        assert result.complete
-        assert len(result.expansions) == 2 * math.factorial(e.n)
+        assert result.complete == (case != "incomplete_n5")
+        assert len(result.expansions) == (
+            168 if case == "incomplete_n5" else 2 * math.factorial(e.n))
         values = [v for x in result.expansions for v in (x.b0, *x.block)]
         assert len({id(v) for v in values}) == len(set(values))
         assert all(type(v) is Fraction for v in values)
@@ -763,7 +833,8 @@ class TestOrbitPool:
         alphas = {}
         for x in result.expansions:
             alphas.setdefault(x.alpha.alphas, set()).add(id(x.alpha))
-        assert len(alphas) == math.factorial(e.n)
+        assert len(alphas) == (
+            108 if case == "incomplete_n5" else math.factorial(e.n))
         assert all(len(ids) == 1 for ids in alphas.values())
 
 
@@ -814,3 +885,83 @@ class TestGroupAgainstPeel:
                 for x in expand_or_raise(t, AlphaSequence(order))}
             checked[n] += 1
         assert min(checked.values()) >= 15
+
+
+class TestOrbitTable:
+    """A complete orbit is read from one table of inverse differences; the
+    search must give the same records byte for byte."""
+
+    @staticmethod
+    def draws():
+        rng = random.Random(109)
+        for pure in (False, True):  # a complete N = 7 orbit of each mode
+            e = seeded_expansion(rng, 7, 0, pure)
+            while not orbit(e, pure=pure).complete:
+                e = seeded_expansion(rng, 7, 0, pure)
+            yield e, pure
+        grid = sorted({F(p, q) for q in (1, 2, 3) for p in range(-8, 9)})
+        for i in range(150):
+            n = (1, 3, 5, 5, 7)[i % 5] if i < 10 else rng.choice([1, 3, 3, 5])
+            pure = n >= 3 and rng.random() < 0.35
+            share = rng.choice([0, 0, 0.1, 0.2, 0.4])
+            yield seeded_expansion(rng, n, share, pure,
+                                   shifts=grid if i % 2 else range(-8, 9)), pure
+        for n in (1, 3, 3, 5, 5):
+            for e in zero_trace_expansions(rng, n):
+                yield e, False
+
+    def test_table_equals_the_search(self, monkeypatch):
+        # The table is taken for every complete orbit with no zero b-value
+        # and for no incomplete one.  Complete orbits with a zero b-value
+        # may fall back to the search; these draws have none.
+        took = []
+        real = symmetry._table
+        monkeypatch.setattr(symmetry, "_table", lambda *args: took.append(
+            real(*args) is not None) or real(*args))
+        tally = {"table": 0, "incomplete": 0, "fallback": 0}
+        kinds = set()
+        for e, pure in self.draws():
+            took.clear()
+            got = orbit(e, pure=pure)
+            assert took[0] <= got.complete
+            want = searched(e, pure)
+            assert canonical_dumps(orbit_to_json(got)) == \
+                canonical_dumps(orbit_to_json(want))
+            zero = any(not b for x in got.expansions for b in (x.b0, *x.block))
+            if got.complete and not took[0]:
+                assert zero
+                tally["fallback"] += 1
+            tally["table" if took[0] else "incomplete"] += 1
+            kinds.add((e.n, pure, got.complete,
+                       bool(expansion_to_triple(e)[1])))
+        assert tally["fallback"] == 0
+        assert tally["table"] >= 80 and tally["incomplete"] >= 30
+        assert {(5, False, True, False), (5, True, True, True),
+                (7, False, True, True), (7, True, True, True),
+                (1, False, True, True)} <= kinds
+
+    def test_branch_one_is_read_from_branch_zero(self):
+        # The matrix of branch 1 is that of the half-trace -T.  Its table
+        # is branch 0's: F1 = -U0, U1 = -F0, T1(S, a, c) = -T0(complement
+        # of S, c, a).
+        rng = random.Random(113)
+        checked = 0
+        for n in (1, 3, 3, 5, 5, 7):
+            e = seeded_expansion(rng, n, 0)
+            triple, half_trace = expansion_to_triple(e)
+            cols = sorted(e.alpha.alphas)
+            tables = [symmetry._fill(*build_transfer_matrix(triple, t),
+                                     cols, n, False)
+                      for t in (half_trace, -half_trace)]
+            if None in tables:
+                continue
+            (v0, _), (v1, _) = tables
+            slot = symmetry._plan(n, False)[2]
+            neg = [(-p, q) for p, q in v0]
+            assert v1[:n] == neg[n:2 * n] and v1[n:2 * n] == neg[:n]
+            full = (1 << n) - 1
+            for (s, a, c), i in slot.items():
+                if a is not None and s:
+                    assert v1[i] == neg[slot[full ^ s, c, a]]
+            checked += 1
+        assert checked >= 5
