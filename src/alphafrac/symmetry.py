@@ -33,7 +33,8 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, combinations, permutations
-from math import gcd
+from math import factorial, gcd
+from operator import itemgetter
 
 from .errors import NotPure, ZeroPivot
 from .expansion import (AlphaSequence, Expansion, build_transfer_matrix,
@@ -257,33 +258,39 @@ def _plan(m: int, pure: bool) -> tuple:
 
 @cache
 def _entries(m: int, pure: bool) -> list:
-    """For each order of m ranks, in lexicographic order, the slots of its
-    elements' b_0, ..., b_N in _plan(m, pure)'s layout: branch 0's, then,
-    in full mode, branch 1's, held as -b, in a second copy of the layout
-    placed after the first.  The m! entries are built by the first orbit
-    of (m, pure) whose table fills, and kept.
+    """One operator.itemgetter per order of m ranks, in lexicographic
+    order.  Applied to _table's values it gathers, in one C call, the
+    order's shifts, then its elements' b_0, ..., b_N: branch 0's from
+    _plan(m, pure)'s layout and, in full mode, branch 1's, held as -b, from
+    a second copy of the layout placed after the first.  The values of the
+    columns follow the last copy: the ranks', then alpha_N's in pure mode.
+    The m! getters are built by the first orbit of (m, pure) whose table
+    fills, and kept.
     """
     program, sums, slot = _plan(m, pure)
     full = (1 << m) - 1
-    # The second copy's slots, one int object each: its offset is the
-    # count of F, U, T and sum slots of the first.
-    size = 2 * m + len(program) + len(sums)
-    second = [size + i for i in range(size)]
+    # The count of F, U, T and sum slots of one copy, and the first
+    # column's slot.
+    size = (m + 1 if pure else 2 * m) + len(program) + len(sums)
+    base = size if pure else 2 * size
+    # Every slot, one int object each, shared by the m! getters.
+    at = list(range(base + m + pure))
     entries = []
     for order in permutations(range(m)):
         cols = order + (m,) if pure else order
         # (S_k, pi_k, pi_(k+1)) for k = 1 .. N - 1.
         steps = list(zip(accumulate(1 << r for r in cols), cols, cols[1:]))
         first, last = cols[0], cols[-1]
+        shifts = [at[base + c] for c in cols]
         block = [slot[s, a, d] for s, a, d in steps]
         if pure:
-            entries.append((first, *block, first))
+            entries.append(itemgetter(*shifts, first, *block, first))
         else:
-            entries.append((first, *block, slot[None, last, first],
-                            *[second[i] for i in (
-                                m + first,
-                                *[slot[full ^ s, d, a] for s, a, d in steps],
-                                slot[None, first, last])]))
+            entries.append(itemgetter(
+                *shifts, first, *block, slot[None, last, first],
+                *[at[size + i] for i in (
+                    m + first, *[slot[full ^ s, d, a] for s, a, d in steps],
+                    slot[None, first, last])]))
     return entries
 
 
@@ -341,6 +348,12 @@ def _table(matrix: tuple, cols: list, m: int, pure: bool, flip: bool):
     the table of its transfer matrix, the 4-tuple of
     build_transfer_matrix; None where the table is undefined.  cols are
     as for _fill.  orbit says why this is sound.
+
+    The values become one list in the layout of _entries: the table's
+    Fractions, in full mode a second copy, negated on a flip, and then
+    cols.  Each order's getter gathers its shifts and b-values from it in
+    one call, and the slices of that tuple are its AlphaSequence, shared
+    by its branches, and each branch's b_0 and block.
     """
     filled = _fill(*matrix, cols, m, pure)
     if filled is None:
@@ -349,34 +362,39 @@ def _table(matrix: tuple, cols: list, m: int, pure: bool, flip: bool):
     for p in pool:
         pool[p] = Fraction(*p)
     values = list(map(pool.get, vals))
-    get, tail, out = values.__getitem__, tuple(cols[m:]), []
-    k = len(cols) + 1  # b_0, ..., b_N
+    if flip:
+        # Branch 1 is held as -b: its copy negates, through the pooled
+        # Fraction of the negation where there is one, so each value stays
+        # one object.  Fraction(0) is false, so membership is tested.
+        negated = {p: pool[q] if q in pool else -x for p, x in pool.items()
+                   for q in [(-p[0], p[1])]}
+        values += [negated[p] for p in vals]
+    elif not pure:
+        values *= 2  # the getters span branch 1's slots, read only on a flip
+    values += cols
+    n = len(cols)  # N: alpha_1 .. alpha_N, then b_0 at n, b_N at 2n
+    j = 2 * n + 1  # branch 1's b_0
+    out = []
     if not flip:
-        for order, idx in zip(permutations(range(m)), _entries(m, pure)):
-            v = tuple(map(get, idx[:k]))
+        for get in _entries(m, pure):
+            v = get(values)
             out.append(Expansion._from_checked(
-                v[0], v[1:], AlphaSequence._from_checked(
-                    tuple(map(cols.__getitem__, order)) + tail)))
+                v[n], v[n + 1:j], AlphaSequence._from_checked(v[:n])))
         return out
-    # Branch 1 is held as -b: its copy negates, through the pooled
-    # Fraction of the negation where there is one, so each value stays one
-    # object.  Fraction(0) is false, so membership is tested.
-    negated = {p: pool[q] if q in pool else -x for p, x in pool.items()
-               for q in [(-p[0], p[1])]}
-    values += [negated[p] for p in vals]
     # On an order with first rank r, branch 0's b_0 is F(r) and branch 1's
     # is -U(r): branch 1 goes first if that is smaller, and on a tie if its
-    # block is.
+    # block is.  The orders are lexicographic, so the first rank of order i
+    # is i // (m - 1)!; a flipping orbit has m >= 1.
     u = len(vals) + m
     first = [None if c == b else c < b
              for b, c in zip(values[:m], values[u:u + m])]
-    for order, idx in zip(permutations(range(m)), _entries(m, pure)):
-        alpha = AlphaSequence._from_checked(
-            tuple(map(cols.__getitem__, order)) + tail)
-        v = tuple(map(get, idx))
-        x = Expansion._from_checked(v[0], v[1:k], alpha)
-        y = Expansion._from_checked(v[k], v[k + 1:], alpha)
-        swap = first[order[0]]
+    per_rank = factorial(m - 1)
+    for i, get in enumerate(_entries(m, pure)):
+        v = get(values)
+        alpha = AlphaSequence._from_checked(v[:n])
+        x = Expansion._from_checked(v[n], v[n + 1:j], alpha)
+        y = Expansion._from_checked(v[j], v[j + 1:], alpha)
+        swap = first[i // per_rank]
         if swap is None:
             swap = y.block < x.block
         out += (y, x) if swap else (x, y)

@@ -454,9 +454,40 @@ MUTANTS = [
      ["tests/test_symmetry.py::TestOrbitWalk"
       "::test_a_second_orbit_of_the_same_m_builds_no_table"]),
     ("the table reads branch 1's b_0 from F", SYMMETRY,
-     "                                m + first,\n",
-     "                                first,\n",
+     "m + first, *[slot[",
+     "first, *[slot[",
      ["tests/test_symmetry.py::TestOrbit::test_sect4_orbit_is_golden_table"]),
+    # One getter per order gathers its shifts and both branches' b-values.
+    ("branch 0's block is sliced into branch 1's slots", SYMMETRY,
+     "                v[n], v[n + 1:j], AlphaSequence",
+     "                v[n], v[n + 1:], AlphaSequence",
+     ["tests/test_cli.py::TestOtherCommands"
+      "::test_zero_trace_orbit_matches_golden_bytes"]),
+    ("a flipping orbit's branch 0 block runs into branch 1", SYMMETRY,
+     "x = Expansion._from_checked(v[n], v[n + 1:j], alpha)",
+     "x = Expansion._from_checked(v[n], v[n + 1:], alpha)",
+     ["tests/test_symmetry.py::TestOrbit::test_sect4_orbit_is_golden_table"]),
+    ("the getters read the shifts one column off", SYMMETRY,
+     "shifts = [at[base + c] for c in cols]",
+     "shifts = [at[base + c - 1] for c in cols]",
+     ["tests/test_symmetry.py::TestOrbit::test_sect4_orbit_is_golden_table"]),
+    ("the first rank is taken with m! in place of (m - 1)!", SYMMETRY,
+     "per_rank = factorial(m - 1)",
+     "per_rank = factorial(m)",
+     ["tests/test_symmetry.py::TestOrbit::test_branches_with_opposite_b0",
+      "tests/test_cli.py::TestOtherCommands"
+      "::test_complete_orbit_matches_golden_bytes"]),
+    ("a full orbit without a flip holds no second copy", SYMMETRY,
+     "        values *= 2",
+     "        pass",
+     ["tests/test_cli.py::TestOtherCommands"
+      "::test_zero_trace_orbit_matches_golden_bytes"]),
+    # Equal values, but a fresh int per getter: the m! getters retain more.
+    ("each getter makes its own branch-1 slot ints", SYMMETRY,
+     "*[at[size + i] for i in (",
+     "*[size + i for i in (",
+     ["tests/test_symmetry.py::TestOrbitTable"
+      "::test_entries_gather_the_shifts_then_each_branch"]),
     ("triple equality skips the last field", EXPANSION,
      "        return self._fields() == other._fields()\n",
      "        return self._fields()[:-1] == other._fields()[:-1]\n",

@@ -190,7 +190,7 @@ def test_mutant_table_matches_the_code():
     # in its file, or a node id that names no test.
     mutants = _load("mutants", TESTS / "mutants.py")
     table = mutants.MUTANTS
-    assert len(table) >= 81
+    assert len(table) >= 87
     assert len({name for name, *_ in table}) == len(table)
     counts = [(name, (ROOT / path).read_text(encoding="utf-8").count(snippet))
               for name, path, snippet, _, _ in table]

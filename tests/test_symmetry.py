@@ -940,6 +940,76 @@ class TestOrbitTable:
                 (7, False, True, True), (7, True, True, True),
                 (1, False, True, True)} <= kinds
 
+    @pytest.mark.parametrize("n, pure", [(1, True), (1, False), (3, True)])
+    def test_degenerate_sizes_are_read_from_the_table(self, monkeypatch, n,
+                                                      pure):
+        # m = 0, 1 and 2 ranks: a pure N = 1 orbit is its one element, a
+        # full N = 1 orbit has one order (two elements, or one at
+        # half-trace 0) and a pure N = 3 orbit two.  Each is read from the
+        # table and equals the search and the reference, byte for byte.
+        took = []
+        real = symmetry._table
+        monkeypatch.setattr(symmetry, "_table", lambda *args: took.append(
+            real(*args)) or took[-1])
+        rng = random.Random(127)
+        draws = [seeded_expansion(rng, n, share, pure)
+                 for share in (0, 0.2, 0.4) for _ in range(8)]
+        if not pure:
+            draws += zero_trace_expansions(rng, n)
+        sizes = set()
+        for e in draws:
+            took.clear()
+            got = orbit(e, pure=pure)
+            want = canonical_dumps(orbit_to_json(got))
+            assert canonical_dumps(orbit_to_json(searched(e, pure))) == want
+            assert canonical_dumps(orbit_to_json(
+                value_keyed_orbit(e, pure=pure)[0])) == want
+            # Only pure N = 3 has a pivot, b_1, and so incomplete orbits.
+            assert (took[0] is not None) == got.complete
+            if got.complete:
+                sizes.add(len(got.expansions))
+        assert sizes == ({1} if n == 1 and pure else {2} if pure else {1, 2})
+
+    @pytest.mark.parametrize("m, pure", [(m, pure) for m in range(7)
+                                         for pure in (False, True)
+                                         if m or pure])
+    def test_entries_gather_the_shifts_then_each_branch(self, m, pure):
+        # Applied to a list of distinct markers in _table's layout (the
+        # table, in full mode its second copy, then the columns), the
+        # getter of each order, in lexicographic order, returns the
+        # order's columns, then branch 0's b_0 .. b_N at _plan's slots,
+        # then, in full mode, branch 1's in the second copy.  Full mode has
+        # no m = 0: its N = m is odd.
+        _, _, slot = symmetry._plan(m, pure)
+        size = max(slot.values()) + 1
+        copies = 1 if pure else 2
+        markers = ([("b", i) for i in range(size)]
+                   + [("-b", i) for i in range(size * (copies - 1))]
+                   + [("col", c) for c in range(m + pure)])
+        full = (1 << m) - 1
+        getters = symmetry._entries(m, pure)
+        assert len(getters) == math.factorial(m)
+        orders = []
+        for get in getters:
+            got = get(markers)
+            orders.append(tuple(c for _, c in got[:m]))
+            cols = orders[-1] + (m,) if pure else orders[-1]
+            steps = [(sum(1 << r for r in cols[:k]), cols[k - 1], cols[k])
+                     for k in range(1, len(cols))]
+            first, last = cols[0], cols[-1]
+            want = [("col", c) for c in cols] + [("b", i) for i in (
+                first, *[slot[s] for s in steps],
+                first if pure else slot[None, last, first])]
+            if not pure:
+                want += [("-b", i) for i in (
+                    m + first, *[slot[full ^ s, d, a] for s, a, d in steps],
+                    slot[None, first, last])]
+            assert got == tuple(want)
+        assert orders == list(itertools.permutations(range(m)))
+        # Each slot is one int object, shared by every getter.
+        items = [i for get in getters for i in get.__reduce__()[1]]
+        assert len({id(i) for i in items}) == len(set(items))
+
     def test_branch_one_is_read_from_branch_zero(self):
         # The matrix of branch 1 is that of the half-trace -T.  Its table
         # is branch 0's: F1 = -U0, U1 = -F0, T1(S, a, c) = -T0(complement
